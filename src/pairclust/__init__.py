@@ -55,70 +55,9 @@ from .pagerank import (
     dcpush,
     loc_bipart_dc,
     simplify,
-    support_volume,
     sweep_cut,
     theorem1_beta_hat,
 )
 from .results import RunResult, build_run_result, run_result_json
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Graph",
-    "conductance",
-    "bipartiteness",
-    "flow_ratio",
-    "cut_imbalance",
-    "cover_vertex",
-    "cover_degree",
-    "cover_neighbors",
-    "conductance_in_cover",
-    "pair_to_cover_set",
-    "to_cluster_pair",
-    "is_simple",
-    "epsilon_simple_cleanup",
-    "total_cover_volume",
-    "AprState",
-    "ClusterPair",
-    "dcpush",
-    "approximate_pagerank_dc",
-    "simplify",
-    "support_volume",
-    "sweep_cut",
-    "loc_bipart_dc",
-    "theorem1_beta_hat",
-    "EspState",
-    "EspSample",
-    "esp_step",
-    "generate_sample",
-    "evo_cut_directed",
-    "steps_for_target_flow",
-    "DirectedClusterPair",
-    "SbmSpec",
-    "CbmSpec",
-    "CbmPlusSpec",
-    "gen_sbm",
-    "gen_cbm",
-    "gen_cbm_plus",
-    "ari",
-    "misclassified_ratio",
-    "pair_labeling",
-    "exact_pagerank",
-    "brute_force_best_pair",
-    "brute_force_min_conductance",
-    "exact_esp_kernel",
-    "ls_curve",
-    "ParseError",
-    "load_edge_list",
-    "write_edge_list",
-    "load_flow_matrix",
-    "load_labels",
-    "write_labels",
-    "load_names",
-    "graph_fingerprint",
-    "RunResult",
-    "build_run_result",
-    "run_result_json",
-    "run_table1",
-    "run_table2",
-]

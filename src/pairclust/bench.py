@@ -2,14 +2,12 @@
 
 Each table reruns the stock synthetic setup some number of times with random
 seed vertices and reports per-trial quality plus means against the recorded
-quality gates. Trials share one immutable graph and own their RNG streams, so
-they can run concurrently with --workers.
+quality gates. Trials share one immutable graph and own their RNG streams.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,17 +46,6 @@ class BenchReport:
     gates_passed: bool = True
     total_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "rows": self.rows,
-            "means": self.means,
-            "gates": self.gates,
-            "gates_passed": self.gates_passed,
-            "total_seconds": self.total_seconds,
-        }
-
 
 def _mean(rows, key):
     return float(np.mean([row[key] for row in rows]))
@@ -77,18 +64,10 @@ def _apply_gates(report: BenchReport, gates: dict):
     report.gates_passed = ok
 
 
-def _run_trials(trial_fn, trials: int, workers: int):
-    if workers <= 1:
-        return [trial_fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, range(trials)))
-
-
 def run_table1(
     n1: int = 1000,
     trials: int = 10,
     rng_seed: int = 1,
-    workers: int = 1,
     beta_hat: float = TABLE1_BETA_HAT,
     alpha_cap: float = ALPHA_CAP,
 ) -> BenchReport:
@@ -134,7 +113,7 @@ def run_table1(
         )
         return row
 
-    rows = _run_trials(trial, trials, workers)
+    rows = [trial(i) for i in range(trials)]
     report = BenchReport(
         name="table1",
         params={
@@ -168,7 +147,6 @@ def run_table2(
     n_prime: int = 100,
     trials: int = 10,
     rng_seed: int = 1,
-    workers: int = 1,
     steps: int = TABLE2_STEPS,
     attempts: int = TABLE2_ATTEMPTS,
     phi: float = 0.1,
@@ -188,14 +166,7 @@ def run_table2(
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, k, n, n_prime, i]))
         u = int(target[rng.integers(target.size)])
         t0 = time.perf_counter()
-        best = None
-        for side in (1, 2):
-            if (g.degrees[u] if side == 1 else g.in_degrees[u]) <= 0:
-                continue
-            for _ in range(attempts):
-                pair = evo_cut_directed(g, u, side, phi, rng, steps=steps)
-                if pair is not None and (best is None or pair.flow < best.flow):
-                    best = pair
+        best = evo_cut_directed(g, u, "both", phi, rng, steps=steps, attempts=attempts)
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         row = {"trial": i, "seed_vertex": u, "found": best is not None, "wall_ms": wall_ms}
         if best is None:
@@ -213,7 +184,7 @@ def run_table2(
         )
         return row
 
-    rows = _run_trials(trial, trials, workers)
+    rows = [trial(i) for i in range(trials)]
     report = BenchReport(
         name="table2",
         params={

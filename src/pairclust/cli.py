@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .generators import CbmPlusSpec, CbmSpec, SbmSpec, gen_cbm, gen_cbm_plus, ge
 from .metrics import ari, misclassified_ratio, pair_labeling
 from .oracle import exact_esp_kernel, exact_pagerank, ls_curve
 from .pagerank import approximate_pagerank_dc, loc_bipart_dc, simplify
-from .results import build_run_result, run_result_json, run_result_to_dict
+from .results import build_run_result, run_result_json
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -59,13 +60,12 @@ def _emit_result(args, result):
     if args.json:
         print(run_result_json(result))
         return
-    data = run_result_to_dict(result)
     if not result.found:
         print("no qualifying pair found")
         return
     print(f"L ({len(result.l)}): {result.l}")
     print(f"R ({len(result.r)}): {result.r}")
-    for key, value in data["metrics"].items():
+    for key, value in result.metrics.items():
         print(f"{key}: {value}")
     print(f"wall_ms: {result.wall_ms:.2f}")
 
@@ -121,18 +121,10 @@ def _cmd_cluster_bipartite(args) -> int:
 
 def _cmd_cluster_directed(args) -> int:
     g = _load_graph(args)
-    both = args.side == "both"
-    sides = (1, 2) if both else (int(args.side),)
+    side = args.side if args.side == "both" else int(args.side)
+    rng = np.random.default_rng(np.random.SeedSequence([args.rng_seed]))
     t0 = time.perf_counter()
-    best = None
-    for side in sides:
-        seed_degree = g.degrees[args.seed_vertex] if side == 1 else g.in_degrees[args.seed_vertex]
-        if both and seed_degree <= 0:
-            continue  # that copy of the seed is isolated in the cover
-        rng = np.random.default_rng(np.random.SeedSequence([args.rng_seed, side]))
-        pair = evo_cut_directed(g, args.seed_vertex, side, args.phi, rng, steps=args.esp_steps)
-        if pair is not None and (best is None or pair.flow < best.flow):
-            best = pair
+    best = evo_cut_directed(g, args.seed_vertex, side, args.phi, rng, steps=args.esp_steps)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     params = {
         "phi": args.phi,
@@ -154,13 +146,19 @@ def _cmd_eval(args) -> int:
         first, second = (int(part) for part in args.pair.split(","))
     except ValueError:
         raise ValueError(f"--pair expects 'a,b', got {args.pair!r}")
+    l, r = result.get("l", []), result.get("r", [])
+    for v in list(l) + list(r):
+        if not (isinstance(v, int) and 0 <= v < labels.size):
+            raise ParseError(
+                f"{args.output}: vertex id {v!r} outside [0, {labels.size}) of {args.labels}"
+            )
     c1 = np.flatnonzero(labels == first)
     c2 = np.flatnonzero(labels == second)
     truth = pair_labeling(labels.size, c1, c2)
-    predicted = pair_labeling(labels.size, result.get("l", []), result.get("r", []))
+    predicted = pair_labeling(labels.size, l, r)
     report = {
         "ari": ari(truth, predicted),
-        "misclassified_ratio": misclassified_ratio(result.get("l", []), result.get("r", []), c1, c2),
+        "misclassified_ratio": misclassified_ratio(l, r, c1, c2),
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -216,19 +214,16 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.table == "table1":
-        report = bench_mod.run_table1(
-            n1=args.n1, trials=args.trials, rng_seed=args.rng_seed, workers=args.workers
-        )
+        report = bench_mod.run_table1(n1=args.n1, trials=args.trials, rng_seed=args.rng_seed)
     else:
         report = bench_mod.run_table2(
             trials=args.trials,
             rng_seed=args.rng_seed,
-            workers=args.workers,
             steps=args.esp_steps,
             attempts=args.attempts,
         )
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(asdict(report), indent=2))
         return 0
     print(f"{report.name}: {report.params}")
     for row in report.rows:
@@ -321,7 +316,6 @@ def build_parser() -> _Parser:
     bn.add_argument("--n1", type=int, default=1000)
     bn.add_argument("--trials", type=int, default=10)
     bn.add_argument("--rng-seed", type=int, default=DEFAULT_RNG_SEED)
-    bn.add_argument("--workers", type=int, default=1)
     bn.add_argument("--esp-steps", type=int, default=bench_mod.TABLE2_STEPS)
     bn.add_argument("--attempts", type=int, default=bench_mod.TABLE2_ATTEMPTS)
     bn.add_argument("--json", action="store_true")

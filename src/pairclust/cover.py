@@ -25,9 +25,8 @@ __all__ = [
     "cover_side",
     "cover_degree",
     "cover_neighbors",
-    "cover_volume",
     "total_cover_volume",
-    "cover_cut_weight",
+    "cover_cut_and_volume",
     "conductance_in_cover",
     "pair_to_cover_set",
     "to_cluster_pair",
@@ -86,15 +85,6 @@ def cover_neighbors(g: Graph, key: int):
     return 2 * ids + 1, ws
 
 
-def cover_volume(g: Graph, keys: Iterable[int]) -> float:
-    total = 0.0
-    deg, in_deg = g.degrees, g.in_degrees
-    for key in keys:
-        _check_cover_vertex(g, key)
-        total += in_deg[key >> 1] if key & 1 else deg[key >> 1]
-    return float(total)
-
-
 def total_cover_volume(g: Graph) -> float:
     """vol of the whole cover: 2 vol(V) undirected, vol_out(V) + vol_in(V) directed."""
     if g.directed:
@@ -102,15 +92,22 @@ def total_cover_volume(g: Graph) -> float:
     return 2.0 * g._total_deg
 
 
-def cover_cut_weight(g: Graph, keys: set) -> float:
-    """Weight of cover edges with exactly one endpoint in the set."""
+def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
+    """(boundary weight, volume) of a cover set, by one direct scan.
+
+    A set or frozenset is scanned as given, so its iteration order (and with
+    it the float sums) stays that of the caller's object.
+    """
+    s = keys if isinstance(keys, (set, frozenset)) else set(keys)
     cut = 0.0
-    for key in keys:
+    vol = 0.0
+    for key in s:
+        vol += cover_degree(g, key)
         nbr_keys, ws = cover_neighbors(g, key)
         for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
-            if nb not in keys:
+            if nb not in s:
                 cut += w
-    return cut
+    return cut, vol
 
 
 def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
@@ -118,13 +115,11 @@ def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
     s = set(keys)
     if not s:
         raise ValueError("conductance undefined for the empty cover set")
-    for key in s:
-        _check_cover_vertex(g, key)
-    vol = cover_volume(g, s)
+    cut, vol = cover_cut_and_volume(g, s)
     denom = min(vol, total_cover_volume(g) - vol)
     if denom <= 0:
         raise ValueError("conductance undefined: zero-volume side of the cover cut")
-    return cover_cut_weight(g, s) / denom
+    return cut / denom
 
 
 def pair_to_cover_set(l: Iterable[int], r: Iterable[int]) -> set:

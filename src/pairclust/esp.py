@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import (
+    cover_cut_and_volume,
     cover_degree,
     cover_neighbors,
-    doubled_part,
+    epsilon_simple_cleanup,
     to_cluster_pair,
     total_cover_volume,
 )
@@ -31,7 +32,6 @@ __all__ = [
     "generate_sample",
     "DirectedClusterPair",
     "evo_cut_directed",
-    "cover_cut_and_volume",
     "steps_for_target_flow",
 ]
 
@@ -224,20 +224,6 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> EspSample:
     )
 
 
-def cover_cut_and_volume(g: Graph, keys) -> tuple[float, float]:
-    """(boundary weight, volume) of a cover set, by direct scan."""
-    s = set(keys)
-    cut = 0.0
-    vol = 0.0
-    for key in s:
-        vol += cover_degree(g, key)
-        nbr_keys, ws = cover_neighbors(g, key)
-        for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
-            if nb not in s:
-                cut += w
-    return cut, vol
-
-
 def steps_for_target_flow(phi: float) -> int:
     """Step count for a target flow ratio, clamped to at least one step."""
     if not 0 < phi <= 1:
@@ -281,31 +267,49 @@ def _check_cleanup_bound(g: Graph, s: set, s_simple: set):
 def evo_cut_directed(
     g: Graph,
     u: int,
-    side: int,
+    side,
     phi: float,
     rng,
     steps: int | None = None,
+    attempts: int = 1,
 ):
     """Find a directed flow pair around u by sampling the evolving set process.
 
     `side` selects which copy of u seeds the process: 1 when u should end up in
-    L (edges out), 2 when it should end up in R (edges in). `steps` overrides
-    the step count derived from `phi`. Returns a DirectedClusterPair, or None
-    when the sampled set yields an empty or zero-volume pair.
+    L (edges out), 2 when it should end up in R (edges in), "both" to try each
+    copy of positive degree. `attempts` samples are drawn per side from `rng`,
+    and the lowest-flow pair is kept. `steps` overrides the step count derived
+    from `phi`. Returns a DirectedClusterPair, or None when every sample
+    yields an empty or zero-volume pair.
     """
     if not g.directed:
         raise ValueError("evo_cut_directed requires a directed graph")
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
+    if side not in (1, 2, "both"):
+        raise ValueError("side must be 1, 2 or 'both'")
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1")
     t = steps if steps is not None else steps_for_target_flow(phi)
     if t < 1:
         raise ValueError("step count must be at least 1")
-    seed_key = 2 * u + (side - 1)
+    best = None
+    for seed_side in (1, 2) if side == "both" else (side,):
+        seed_key = 2 * u + (seed_side - 1)
+        if side == "both" and cover_degree(g, seed_key) <= 0:
+            continue  # that copy of u is isolated in the cover
+        for _ in range(attempts):
+            pair = _sample_pair(g, seed_key, t, rng)
+            if pair is not None and (best is None or pair.flow < best.flow):
+                best = pair
+    return best
+
+
+def _sample_pair(g: Graph, seed_key: int, t: int, rng):
+    """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
     sample = generate_sample(g, seed_key, t, rng)
     s = set(sample.final)
-    s_simple = s - doubled_part(s)
+    s_simple = epsilon_simple_cleanup(s)
     if not s_simple:
         return None
     _check_cleanup_bound(g, s, s_simple)

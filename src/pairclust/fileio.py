@@ -151,9 +151,11 @@ def _append_flow_edge(us, vs, ws, j, l, fwd, bwd):
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a `vertex label` sidecar into a dense label array."""
-    pairs = []
-    max_id = -1
+    """Read a `vertex label` sidecar into a dense label array.
+
+    Every vertex in [0, max id] must appear exactly once.
+    """
+    labels: dict = {}
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) != 2:
@@ -165,12 +167,13 @@ def load_labels(path) -> np.ndarray:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if v < 0:
             raise ParseError(f"{path}:{lineno}: negative vertex id")
-        pairs.append((v, lab))
-        max_id = max(max_id, v)
-    labels = np.zeros(max_id + 1, dtype=np.int64)
-    for v, lab in pairs:
+        if v in labels:
+            raise ParseError(f"{path}:{lineno}: vertex {v} labelled twice")
         labels[v] = lab
-    return labels
+    for v in range(len(labels)):
+        if v not in labels:
+            raise ParseError(f"{path}: vertex {v} has no label (ids run to {max(labels)})")
+    return np.array([labels[v] for v in range(len(labels))], dtype=np.int64)
 
 
 def write_labels(labels: np.ndarray, path):

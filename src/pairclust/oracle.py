@@ -11,8 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import cover_degree, pair_to_cover_set, total_cover_volume
-from .graph import Graph, bipartiteness
+from .cover import (
+    conductance_in_cover,
+    cover_cut_and_volume,
+    cover_degree,
+    cover_neighbors,
+    pair_to_cover_set,
+    total_cover_volume,
+)
+from .graph import Graph, bipartiteness, conductance
 
 __all__ = [
     "dense_walk_matrix",
@@ -113,24 +120,18 @@ def brute_force_best_pair(g: Graph):
 
 def brute_force_min_conductance(g: Graph, cover: bool = True):
     """Exact minimum conductance over simple cover sets (or base-graph subsets)."""
-    from .cover import conductance_in_cover
-    from .graph import conductance
-
     if g.n > _PAIR_GUARD:
         raise ValueError(f"brute-force guard exceeded: n={g.n} > {_PAIR_GUARD}")
     best = None
     if cover:
-        total = total_cover_volume(g)
         for assign in _pair_assignments(g.n):
             l = [v for v, a in enumerate(assign) if a == 1]
             r = [v for v, a in enumerate(assign) if a == 2]
             s = pair_to_cover_set(l, r)
-            if not s:
-                continue
-            vol = sum(cover_degree(g, key) for key in s)
-            if vol <= 0 or total - vol <= 0:
-                continue
-            phi = conductance_in_cover(g, s)
+            try:
+                phi = conductance_in_cover(g, s)
+            except ValueError:
+                continue  # empty, or a zero-volume side of the cover cut
             if best is None or phi < best[1]:
                 best = (s, phi)
     else:
@@ -151,8 +152,6 @@ def brute_force_min_conductance(g: Graph, cover: bool = True):
 
 def _membership_probabilities(g: Graph, s: set) -> dict:
     """Q(y, S) = one lazy-walk-step probability of landing in S, for all cover y."""
-    from .cover import cover_neighbors
-
     q = {}
     for key in range(2 * g.n):
         deg = cover_degree(g, key)
@@ -179,7 +178,7 @@ def exact_esp_kernel(g: Graph, s: set):
     if not s:
         raise ValueError("start set must be nonempty")
     q = _membership_probabilities(g, s)
-    vol_s = cover_volume_dense(g, s)
+    _, vol_s = cover_cut_and_volume(g, s)
     if vol_s <= 0:
         raise ValueError("start set must have positive volume")
 
@@ -196,12 +195,8 @@ def exact_esp_kernel(g: Graph, s: set):
         nxt = levels[i + 1] if i + 1 < len(levels) else 0.0
         prob = threshold - nxt
         k[succ] = k.get(succ, 0.0) + prob
-        k_hat[succ] = k_hat.get(succ, 0.0) + prob * cover_volume_dense(g, succ) / vol_s
+        k_hat[succ] = k_hat.get(succ, 0.0) + prob * cover_cut_and_volume(g, succ)[1] / vol_s
     return k, k_hat
-
-
-def cover_volume_dense(g: Graph, keys) -> float:
-    return sum(cover_degree(g, key) for key in keys)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cover import cover_degree, cover_neighbors, to_cluster_pair, total_cover_volume
+from .cover import cover_neighbors, to_cluster_pair, total_cover_volume
 from .graph import Graph, bipartiteness
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "dcpush",
     "approximate_pagerank_dc",
     "simplify",
-    "support_volume",
     "ClusterPair",
     "sweep_cut",
     "loc_bipart_dc",
@@ -113,7 +112,8 @@ def dcpush(state: AprState, u: int, side: int) -> AprState:
     """
     key = 2 * u + (side - 1)
     ru = state.r.get(key, 0.0)
-    assert ru > 0.0, "dcpush requires positive residual at the pushed vertex"
+    if not ru > 0.0:
+        raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
 
     g = state.graph
     alpha = state.alpha
@@ -182,11 +182,6 @@ def simplify(p: dict) -> dict:
         if diff > 0.0:
             out[key] = diff
     return out
-
-
-def support_volume(g: Graph, p: dict) -> float:
-    """Cover volume of the support of a mass vector."""
-    return sum(cover_degree(g, key) for key, val in p.items() if val != 0.0)
 
 
 @dataclass(frozen=True)

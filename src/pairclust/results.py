@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cover import conductance_in_cover, pair_to_cover_set
 from .fileio import graph_fingerprint
 from .graph import Graph, bipartiteness, cut_imbalance, flow_ratio
 
-__all__ = ["RunResult", "build_run_result", "run_result_to_dict", "run_result_json"]
+__all__ = ["RunResult", "build_run_result", "run_result_json"]
 
 
 @dataclass
@@ -75,20 +75,5 @@ def build_run_result(
     return result
 
 
-def run_result_to_dict(result: RunResult) -> dict:
-    return {
-        "algorithm": result.algorithm,
-        "seed_vertex": result.seed_vertex,
-        "params": result.params,
-        "found": result.found,
-        "l": result.l,
-        "r": result.r,
-        "metrics": result.metrics,
-        "wall_ms": result.wall_ms,
-        "rng_seed": result.rng_seed,
-        "graph": result.graph,
-    }
-
-
 def run_result_json(result: RunResult) -> str:
-    return json.dumps(run_result_to_dict(result), indent=2, sort_keys=False)
+    return json.dumps(asdict(result), indent=2, sort_keys=False)

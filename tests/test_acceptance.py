@@ -32,8 +32,8 @@ from pairclust import (
     to_cluster_pair,
     total_cover_volume,
 )
-from pairclust.cover import doubled_part
-from pairclust.esp import EspState, cover_cut_and_volume
+from pairclust.cover import cover_cut_and_volume, doubled_part
+from pairclust.esp import EspState
 from pairclust.oracle import dense_walk_matrix
 from helpers import (
     mass_to_dense,

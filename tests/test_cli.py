@@ -262,6 +262,17 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["ari"] == 1.0
 
+    @pytest.mark.parametrize("l, bad", [([0, 5], 5), ([-1], -1)])
+    def test_result_id_outside_labels_is_parse_error(self, tmp_path, capsys, l, bad):
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps({"l": l, "r": [1], "found": True}))
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 1\n")
+        code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result_path) in err and f"vertex id {bad} " in err
+
 
 class TestOracle:
     def test_pagerank_check(self, tmp_path, capsys):
@@ -305,7 +316,7 @@ class TestBench:
 
     def test_table2_small_concurrent(self, capsys):
         code = main(
-            ["bench", "table2", "--trials", "2", "--workers", "2", "--esp-steps", "6", "--json"]
+            ["bench", "table2", "--trials", "2", "--esp-steps", "6", "--json"]
         )
         assert code == 0
         data = json.loads(capsys.readouterr().out)

@@ -15,8 +15,7 @@ from pairclust import (
     to_cluster_pair,
     total_cover_volume,
 )
-from pairclust.cover import doubled_part
-from pairclust.esp import cover_cut_and_volume
+from pairclust.cover import cover_cut_and_volume, doubled_part
 from helpers import random_directed, random_disjoint_pair, random_undirected
 
 

@@ -14,8 +14,7 @@ from pairclust import (
     steps_for_target_flow,
     total_cover_volume,
 )
-from pairclust.cover import cover_degree, cover_neighbors
-from pairclust.esp import cover_cut_and_volume
+from pairclust.cover import cover_cut_and_volume, cover_degree, cover_neighbors
 from helpers import random_directed
 
 
@@ -194,6 +193,25 @@ class TestEvoCutDirected:
         g = small_digraph()
         with pytest.raises(ValueError):
             evo_cut_directed(g, 0, 3, 0.1, np.random.default_rng(0))
+
+    def test_both_skips_degree_zero_side(self):
+        # vertex 0 has out-arcs but no in-arcs, so its side-2 copy is isolated;
+        # vertex 4 has no arcs at all, so "both" has no side to run
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 1)], directed=True)
+        both = evo_cut_directed(g, 0, "both", 0.1, np.random.default_rng(4), steps=5, attempts=3)
+        one = evo_cut_directed(g, 0, 1, 0.1, np.random.default_rng(4), steps=5, attempts=3)
+        assert both is not None and one is not None
+        assert both.l.tolist() == one.l.tolist() and both.r.tolist() == one.r.tolist()
+        assert both.flow == one.flow
+        with pytest.raises(ValueError, match="degree 0"):
+            evo_cut_directed(g, 0, 2, 0.1, np.random.default_rng(4), steps=5)
+        assert evo_cut_directed(g, 4, "both", 0.1, np.random.default_rng(4)) is None
+
+    def test_attempts_validation(self):
+        g = small_digraph()
+        for attempts in (0, -1):
+            with pytest.raises(ValueError, match="attempts"):
+                evo_cut_directed(g, 0, "both", 0.1, np.random.default_rng(0), attempts=attempts)
 
     def test_determinism(self):
         g = random_directed(np.random.default_rng(5), 20, p=0.2)

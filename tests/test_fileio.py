@@ -137,6 +137,15 @@ class TestSidecars:
         write_labels(labels, f)
         assert np.array_equal(load_labels(f), labels)
 
+    def test_labels_gap_and_repeat_rejected(self, tmp_path):
+        f = tmp_path / "g.labels"
+        f.write_text("0 0\n2 1\n3 1\n")
+        with pytest.raises(ParseError, match="vertex 1 has no label"):
+            load_labels(f)
+        f.write_text("0 0\n1 0\n1 1\n")
+        with pytest.raises(ParseError, match=":3: vertex 1 labelled twice"):
+            load_labels(f)
+
     def test_names(self, tmp_path):
         f = tmp_path / "g.names"
         f.write_text("0 Alpha Prime\n1 Beta\n")

@@ -40,18 +40,6 @@ def write_migration_matrix(path, rng):
             handle.write(f"{i},{j},{count}\n")
 
 
-def run_both_sides(g, seed, rng, steps=4, attempts=3):
-    best = None
-    for side in (1, 2):
-        if (g.degrees[seed] if side == 1 else g.in_degrees[seed]) <= 0:
-            continue
-        for _ in range(attempts):
-            pair = evo_cut_directed(g, seed, side, 0.1, rng, steps=steps)
-            if pair is not None and (best is None or pair.flow < best.flow):
-                best = pair
-    return best
-
-
 def test_flow_matrix_to_directed_pair(tmp_path):
     rng = np.random.default_rng(2718)
     matrix = tmp_path / "migration.csv"
@@ -63,7 +51,7 @@ def test_flow_matrix_to_directed_pair(tmp_path):
     target_flow = flow_ratio(g, planted_l, planted_r)
     assert target_flow < 0.05
 
-    best = run_both_sides(g, 3, rng)
+    best = evo_cut_directed(g, 3, "both", 0.1, rng, steps=4, attempts=3)
     assert best is not None
     assert best.flow <= target_flow + 0.1
     assert misclassified_ratio(best.l, best.r, planted_l, planted_r) < 0.35

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pairclust
 from pairclust import (
     AprState,
     Graph,
@@ -11,10 +17,10 @@ from pairclust import (
     exact_pagerank,
     loc_bipart_dc,
     simplify,
-    support_volume,
     sweep_cut,
     theorem1_beta_hat,
 )
+from pairclust.cover import cover_cut_and_volume
 from pairclust.oracle import dense_walk_matrix
 from helpers import dense_to_mass, mass_to_dense, random_undirected
 
@@ -46,8 +52,18 @@ class TestDcpush:
     def test_zero_residual_is_programming_error(self):
         g = Graph(2, [(0, 1)])
         state = AprState(g, 0, alpha=0.5, epsilon=1e-3)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="positive residual"):
             dcpush(state, 1, 1)
+        # the check is not an assert, so `python -O` keeps it
+        code = (
+            "from pairclust import AprState, Graph, dcpush\n"
+            "dcpush(AprState(Graph(2, [(0, 1)]), 0, alpha=0.5, epsilon=1e-3), 1, 1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pairclust.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert "ValueError: dcpush requires positive residual" in done.stderr
 
     def test_invariant_preserved_against_oracle(self):
         rng = np.random.default_rng(2)
@@ -95,7 +111,8 @@ class TestApproximatePagerank:
             alpha = float(rng.uniform(0.05, 0.9))
             epsilon = float(rng.uniform(1e-4, 1e-2))
             state = AprState(g, _positive_degree_vertex(g), alpha, epsilon).run()
-            assert support_volume(g, state.p) <= 1.0 / (epsilon * alpha)
+            _, support_volume = cover_cut_and_volume(g, state.p)
+            assert support_volume <= 1.0 / (epsilon * alpha)
             assert state.pushed_degree_total <= 1.0 / (epsilon * alpha)
 
     def test_oracle_agreement_at_termination(self):
