@@ -77,6 +77,8 @@ def run_table1(
     uses gamma = vol(C1 u C2), alpha = min(20 * beta(C1, C2), alpha_cap), and
     returns the best sweep prefix under `beta_hat`.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     started = time.perf_counter()
     spec = SbmSpec(n1=n1, p1=1.0 / n1, q1=18.0 / n1)
     root = np.random.SeedSequence([rng_seed, n1])
@@ -152,6 +154,8 @@ def run_table2(
     phi: float = 0.1,
 ) -> BenchReport:
     """Planted local-cycle benchmark on CBM+; both seed sides, lower flow kept."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     started = time.perf_counter()
     spec = CbmPlusSpec(k=k, n=n, n_prime=n_prime)
     root = np.random.SeedSequence([rng_seed, k, n, n_prime])

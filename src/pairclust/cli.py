@@ -141,6 +141,8 @@ def _cmd_cluster_directed(args) -> int:
 def _cmd_eval(args) -> int:
     with open(args.output, "r", encoding="utf-8") as handle:
         result = json.load(handle)
+    if not isinstance(result, dict):
+        raise ParseError(f"{args.output}: a result must be a JSON object")
     labels = load_labels(args.labels)
     try:
         first, second = (int(part) for part in args.pair.split(","))
@@ -175,6 +177,8 @@ def _parse_cover_set(text: str) -> set:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
     if args.check == "pagerank":
+        if not 0 <= args.seed_vertex < g.n:
+            raise ValueError(f"--seed-vertex {args.seed_vertex} outside [0, {g.n})")
         dim = g.n if args.base else 2 * g.n
         s = np.zeros(dim)
         s[args.seed_vertex if args.base else cover_vertex(args.seed_vertex, args.side)] = 1.0

@@ -129,9 +129,9 @@ def pair_to_cover_set(l: Iterable[int], r: Iterable[int]) -> set:
 
 def to_cluster_pair(keys: Iterable[int]):
     """Split a cover set into (L, R): L from side-1 members, R from side-2."""
-    l = sorted(key >> 1 for key in keys if not key & 1)
-    r = sorted(key >> 1 for key in keys if key & 1)
-    return np.asarray(l, dtype=np.int64), np.asarray(r, dtype=np.int64)
+    k = keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64)
+    side2 = (k & 1).astype(bool)
+    return np.sort(k[~side2] >> 1), np.sort(k[side2] >> 1)
 
 
 def is_simple(keys: Iterable[int]) -> bool:

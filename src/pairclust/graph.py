@@ -31,6 +31,22 @@ def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
     return ids
 
 
+def row_positions(indptr: np.ndarray, rows: np.ndarray):
+    """Positions of the concatenated CSR rows `rows` in indices/weights, and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.arange(offsets.size) + offsets, counts
+
+
+def sorted_lookup(haystack: np.ndarray, needles: np.ndarray):
+    """Insertion positions of `needles` in the sorted `haystack`, and which of them it holds."""
+    at = np.searchsorted(haystack, needles)
+    if not haystack.size:
+        return at, np.zeros(at.shape, dtype=bool)
+    return at, haystack[np.minimum(at, haystack.size - 1)] == needles
+
+
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Sum weights of parallel edges. Keys are u*n+v, so (u, v) must be canonical."""
     keys = u * np.int64(n) + v
@@ -216,14 +232,9 @@ class Graph:
         return self._weight_between(a_ids, b_ids)
 
     def _weight_between(self, a_ids: np.ndarray, b_ids: np.ndarray) -> float:
-        total = 0.0
-        for u in a_ids.tolist():
-            s, e = self.indptr[u], self.indptr[u + 1]
-            nbrs = self.indices[s:e]
-            mask = np.isin(nbrs, b_ids, assume_unique=True)
-            if mask.any():
-                total += float(self.weights[s:e][mask].sum())
-        return total
+        pos, _ = row_positions(self.indptr, a_ids)
+        _, hit = sorted_lookup(b_ids, self.indices[pos])
+        return float(self.weights[pos[hit]].sum())
 
     def boundary_weight(self, vertices: Iterable[int]) -> float:
         """Weight of the undirected boundary: edges with exactly one endpoint inside."""

@@ -1,26 +1,26 @@
 """Pagerank push on the virtual double cover: approximate Pagerank, simplify, sweep cut.
 
 The pipeline finds two clusters L, R that are densely connected to each other
-and jointly isolated from the rest of an undirected graph. Push operations run
-directly on the base graph while simulating the double cover, so the work is
-proportional to the mass spread (at most 1/(epsilon*alpha) volume), never to
-the graph size.
+and jointly isolated from the rest of an undirected graph. Push simulates the
+double cover on the base graph in synchronous rounds: each round pushes every
+cover vertex with residual at least epsilon times its degree at once. A round
+is a sequence of partial pushes, so the invariant p + pr(r) = pr(chi) and the
+work bound of 1/(epsilon*alpha) pushed volume hold as for one-at-a-time push,
+and the work never depends on the graph size.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cover import cover_neighbors, to_cluster_pair, total_cover_volume
-from .graph import Graph, bipartiteness
+from .cover import to_cluster_pair, total_cover_volume
+from .graph import Graph, bipartiteness, row_positions, sorted_lookup
 
 __all__ = [
-    "MASS_FLOOR",
     "AprState",
     "dcpush",
     "approximate_pagerank_dc",
@@ -31,28 +31,30 @@ __all__ = [
     "theorem1_beta_hat",
 ]
 
-# Masses below this are dropped instead of stored, avoiding denormal churn.
-MASS_FLOOR = 1e-300
+
+def _nonzero_dict(keys: np.ndarray, vals: np.ndarray) -> dict:
+    held = vals > 0.0
+    return dict(zip(keys[held].tolist(), vals[held].tolist()))
 
 
 class AprState:
-    """Mutable push state: sparse (p, r) over cover vertices plus the work queue.
+    """Push state over the cover vertices reached so far, pushed in rounds.
 
-    Cover vertices are the integer keys of `p` and `r` (see the cover module's
-    encoding). The queue holds cover vertices whose residual is at or above
-    epsilon times their degree, FIFO, with an in-queue flag so each vertex is
-    queued at most once at a time. State is confined to a single execution and
-    must not be shared across threads.
+    `keys` is the sorted int64 array of cover vertices that have held mass (see
+    the cover module's encoding); `p_mass`, `r_mass` and `deg` are aligned with
+    it and grow with the frontier, so nothing of the graph's size is allocated.
+    `p` and `r` read the masses out as dicts that store no zeros. State is
+    confined to a single execution and must not be shared across threads.
     """
 
     __slots__ = (
         "graph",
         "alpha",
         "epsilon",
-        "p",
-        "r",
-        "queue",
-        "queued",
+        "keys",
+        "p_mass",
+        "r_mass",
+        "deg",
         "push_count",
         "pushed_degree_total",
     )
@@ -70,89 +72,76 @@ class AprState:
         self.graph = g
         self.alpha = float(alpha)
         self.epsilon = float(epsilon)
-        self.p: dict = {}
-        self.r: dict = {2 * seed_vertex: 1.0}
-        self.queue: deque = deque()
-        self.queued: set = set()
+        self.keys = np.array([2 * seed_vertex], dtype=np.int64)
+        self.p_mass = np.zeros(1)
+        self.r_mass = np.ones(1)
+        self.deg = np.array([deg])
         self.push_count = 0
         self.pushed_degree_total = 0.0
-        if 1.0 >= epsilon * deg:
-            self.queue.append(2 * seed_vertex)
-            self.queued.add(2 * seed_vertex)
+
+    @property
+    def p(self) -> dict:
+        return _nonzero_dict(self.keys, self.p_mass)
+
+    @property
+    def r(self) -> dict:
+        return _nonzero_dict(self.keys, self.r_mass)
 
     def touched_cover_vertices(self) -> set:
         """Every cover vertex that ever held mass."""
-        return set(self.p) | set(self.r)
+        return set(self.keys.tolist())
 
     def run(self, on_push: Callable | None = None) -> "AprState":
-        """Push until every residual is below epsilon times its degree."""
-        g = self.graph
-        degrees = g.degrees
-        epsilon = self.epsilon
-        queue = self.queue
-        queued = self.queued
-        r = self.r
-        while queue:
-            key = queue.popleft()
-            queued.discard(key)
-            if r.get(key, 0.0) < epsilon * degrees[key >> 1]:
-                continue
-            dcpush(self, key >> 1, (key & 1) + 1)
+        """Push rounds until every residual is below epsilon times its degree.
+
+        A round's frontier is every key at or above that threshold, pushed at
+        once from the residuals at the round's start; `on_push(state)` follows
+        each round.
+        """
+        while True:
+            frontier = np.flatnonzero(self.r_mass >= self.epsilon * self.deg)
+            if not frontier.size:
+                return self
+            self._push(frontier)
             if on_push is not None:
                 on_push(self)
-        return self
+
+    def _push(self, frontier: np.ndarray):
+        """Bank alpha of each frontier residual into p, keep half the rest (lazy
+        self-loop) and spread the other half to the neighbors' opposite-side copies."""
+        g, alpha = self.graph, self.alpha
+        ru = self.r_mass[frontier]
+        du = self.deg[frontier]
+        self.push_count += int(frontier.size)
+        self.pushed_degree_total += float(du.sum())
+        self.p_mass[frontier] += alpha * ru
+        self.r_mass[frontier] = (1.0 - alpha) * ru * 0.5
+
+        src = self.keys[frontier]
+        pos, counts = row_positions(g.indptr, src >> 1)
+        nbr_keys = 2 * g.indices[pos] + np.repeat((src & 1) ^ 1, counts)
+        shares = np.repeat((1.0 - alpha) * ru / (2.0 * du), counts) * g.weights[pos]
+        uniq, inverse = np.unique(nbr_keys, return_inverse=True)
+        at, held = sorted_lookup(self.keys, uniq)
+        new = ~held
+        if new.any():
+            ins = at[new]
+            fresh = uniq[new]
+            self.keys = np.insert(self.keys, ins, fresh)
+            self.p_mass = np.insert(self.p_mass, ins, 0.0)
+            self.r_mass = np.insert(self.r_mass, ins, 0.0)
+            self.deg = np.insert(self.deg, ins, g.degrees[fresh >> 1])
+            at = at + np.cumsum(new) - new
+        self.r_mass[at] += np.bincount(inverse, weights=shares, minlength=uniq.size)
 
 
 def dcpush(state: AprState, u: int, side: int) -> AprState:
-    """One push at cover vertex (u, side).
-
-    Banks alpha of the residual into p, keeps half of the remainder at the same
-    cover vertex (lazy self-loop), and spreads the other half to the neighbors'
-    copies on the opposite side, since every cover edge crosses sides.
-    """
+    """One push at cover vertex (u, side): a round whose frontier is that vertex alone."""
     key = 2 * u + (side - 1)
-    ru = state.r.get(key, 0.0)
-    if not ru > 0.0:
+    at, held = sorted_lookup(state.keys, np.array([key], dtype=np.int64))
+    if not (held[0] and state.r_mass[at[0]] > 0.0):
         raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
-
-    g = state.graph
-    alpha = state.alpha
-    epsilon = state.epsilon
-    degrees = g.degrees
-    du = degrees[u]
-
-    state.push_count += 1
-    state.pushed_degree_total += du
-
-    state.p[key] = state.p.get(key, 0.0) + alpha * ru
-    keep = (1.0 - alpha) * ru * 0.5
-    r = state.r
-    if keep > MASS_FLOOR:
-        r[key] = keep
-        if keep >= epsilon * du and key not in state.queued:
-            state.queued.add(key)
-            state.queue.append(key)
-    else:
-        del r[key]
-
-    share = (1.0 - alpha) * ru / (2.0 * du)
-    if share <= MASS_FLOOR:
-        return state
-    s, e = g.indptr[u], g.indptr[u + 1]
-    idx = g.indices[s:e]
-    nbrs = idx.tolist()
-    ws = g.weights[s:e].tolist()
-    ndegs = degrees[idx].tolist()
-    opposite = (key & 1) ^ 1
-    queued = state.queued
-    queue = state.queue
-    for v, w, dv in zip(nbrs, ws, ndegs):
-        nk = 2 * v + opposite
-        rv = r.get(nk, 0.0) + share * w
-        r[nk] = rv
-        if rv >= epsilon * dv and nk not in queued:
-            queued.add(nk)
-            queue.append(nk)
+    state._push(at)
     return state
 
 
@@ -177,8 +166,7 @@ def simplify(p: dict) -> dict:
     for key, val in p.items():
         if val < 0:
             raise ValueError("mass vector must be nonnegative")
-        other = p.get(key ^ 1, 0.0)
-        diff = val - other
+        diff = val - p.get(key ^ 1, 0.0)
         if diff > 0.0:
             out[key] = diff
     return out
@@ -206,50 +194,42 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
     """
     if g.directed:
         raise ValueError("sweep_cut runs on the double cover of an undirected graph")
-    support = [key for key, val in p.items() if val != 0.0]
+    support = {key: val for key, val in p.items() if val != 0.0}
     if not support:
         return None
-    for key in support:
-        if p.get(key ^ 1, 0.0) != 0.0:
-            raise ValueError("sweep_cut requires a simplified mass vector")
+    keys = np.fromiter(support, dtype=np.int64, count=len(support))
+    vals = np.fromiter(support.values(), dtype=np.float64, count=len(support))
+    deg = g.degrees[keys >> 1]
+    order = np.lexsort((keys, -vals / deg))
+    keys, deg = keys[order], deg[order]
+    by_key = np.argsort(keys)  # rank of the k-th smallest key
+    if sorted_lookup(keys[by_key], keys ^ 1)[1].any():
+        raise ValueError("sweep_cut requires a simplified mass vector")
+    # charge each support-internal cover edge to the later of its two ranks
+    pos, counts = row_positions(g.indptr, keys >> 1)
+    nbr_keys = 2 * g.indices[pos] + np.repeat((keys & 1) ^ 1, counts)
+    rank = np.repeat(np.arange(keys.size), counts)
+    at, held = sorted_lookup(keys[by_key], nbr_keys)
+    earlier = held & (by_key[np.minimum(at, keys.size - 1)] < rank)
+    inside = np.bincount(rank[earlier], weights=g.weights[pos[earlier]], minlength=keys.size)
 
-    degrees = g.degrees
-    total = total_cover_volume(g)
-    support.sort(key=lambda k: (-p[k] / degrees[k >> 1], k))
-
-    members: set = set()
-    vol = 0.0
-    cut = 0.0
-    best_phi = math.inf
-    best_j = 0
-    for j, key in enumerate(support, start=1):
-        deg = float(degrees[key >> 1])
-        nbr_keys, ws = cover_neighbors(g, key)
-        inside = 0.0
-        for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
-            if nb in members:
-                inside += w
-        members.add(key)
-        vol += deg
-        cut += deg - 2.0 * inside
-        denom = min(vol, total - vol)
-        if denom <= 0:
-            continue
-        phi = cut / denom
-        if best:
-            if phi < best_phi:
-                best_phi = phi
-                best_j = j
-        elif phi <= beta_target:
-            pair = _verified_pair(g, support[:j], beta_target, j)
-            if pair is not None:
-                return pair
-    if best and best_j:
-        return _verified_pair(g, support[:best_j], beta_target, best_j)
+    vol = np.cumsum(deg)
+    cut = np.cumsum(deg - 2.0 * inside)
+    denom = np.minimum(vol, total_cover_volume(g) - vol)
+    valid = denom > 0
+    phi = np.full(keys.size, math.inf)
+    phi[valid] = cut[valid] / denom[valid]
+    if best:
+        j = int(np.argmin(phi)) + 1
+        return _verified_pair(g, keys[:j], beta_target, j) if valid.any() else None
+    for j in (np.flatnonzero(valid & (phi <= beta_target)) + 1).tolist():
+        pair = _verified_pair(g, keys[:j], beta_target, j)
+        if pair is not None:
+            return pair
     return None
 
 
-def _verified_pair(g: Graph, prefix: list, beta_target: float, j: int):
+def _verified_pair(g: Graph, prefix: np.ndarray, beta_target: float, j: int):
     """Recompute the pair quality from scratch; reject if it misses the target."""
     l, r = to_cluster_pair(prefix)
     beta = bipartiteness(g, l, r)

@@ -1,13 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report lines. The large-instance variant of criterion 5 is marked slow.
+report lines.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from pairclust import (
     AprState,
@@ -240,11 +239,10 @@ def test_criterion_5_planted_pair_benchmark():
     )
 
 
-@pytest.mark.slow
 def test_criterion_5_planted_pair_benchmark_large():
     report = run_table1(n1=10_000, trials=10, rng_seed=1)
     assert report.means["mean_ari"] >= 0.85
-    _report(5, f"n1=10000 benchmark: ari={report.means['mean_ari']:.3f} (slow variant)")
+    _report(5, f"n1=10000 benchmark: ari={report.means['mean_ari']:.3f} (large variant)")
 
 
 def test_criterion_6_returned_pair_contract():

@@ -273,6 +273,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(result_path) in err and f"vertex id {bad} " in err
 
+    def test_non_object_result_is_parse_error(self, tmp_path, capsys):
+        result_path = tmp_path / "r.json"
+        result_path.write_text("[1, 2]")
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 1\n")
+        code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result_path) in err and "JSON object" in err
+
 
 class TestOracle:
     def test_pagerank_check(self, tmp_path, capsys):
@@ -284,6 +294,14 @@ class TestOracle:
         data = json.loads(capsys.readouterr().out)
         total = sum(entry["mass"] for entry in data["entries"])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("vertex", ["7", "-1"])
+    def test_pagerank_seed_vertex_out_of_range(self, tmp_path, capsys, vertex):
+        # past the end used to raise IndexError; -1 used to wrap to the last vertex
+        path = bipartite_island(tmp_path)
+        code = main(["oracle", "pagerank", "-g", str(path), "--seed-vertex", vertex])
+        assert code == 3
+        assert f"--seed-vertex {vertex} outside [0, 7)" in capsys.readouterr().err
 
     def test_kernel_check(self, tmp_path, capsys):
         path = small_digraph(tmp_path)
@@ -321,6 +339,13 @@ class TestBench:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["rows"]) == 2
+
+    @pytest.mark.parametrize("table", ["table1", "table2"])
+    def test_zero_trials_rejected(self, capsys, table):
+        code = main(["bench", table, "--n1", "100", "--trials", "0"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert "trials must be at least 1" in err and "nan" not in out
 
 
 class TestExitCodes:
