@@ -14,7 +14,6 @@ from .cover import (
     cover_neighbors,
     cover_vertex,
     epsilon_simple_cleanup,
-    is_simple,
     pair_to_cover_set,
     to_cluster_pair,
     total_cover_volume,

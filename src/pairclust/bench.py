@@ -30,6 +30,12 @@ TABLE2_GATES = {"mean_ari_min": 0.90}
 ALPHA_CAP = 0.1
 # Sweep acceptance ceiling used by the benchmark runs.
 TABLE1_BETA_HAT = 0.35
+# CBM+ instance of the directed benchmark: k clusters of n vertices plus the
+# two n_prime-vertex clusters of the local cycle, and the target flow.
+TABLE2_K = 3
+TABLE2_N = 1000
+TABLE2_N_PRIME = 100
+TABLE2_PHI = 0.1
 # Evolving-set step count and per-side sample attempts for the directed
 # benchmark; each trial keeps the lowest-flow sample over both sides.
 TABLE2_STEPS = 10
@@ -64,18 +70,12 @@ def _apply_gates(report: BenchReport, gates: dict):
     report.gates_passed = ok
 
 
-def run_table1(
-    n1: int = 1000,
-    trials: int = 10,
-    rng_seed: int = 1,
-    beta_hat: float = TABLE1_BETA_HAT,
-    alpha_cap: float = ALPHA_CAP,
-) -> BenchReport:
+def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchReport:
     """Planted-pair benchmark on the three-cluster model with p1 = 1/n1, q1 = 18/n1.
 
     One graph, `trials` random seed vertices inside the planted pair. Each run
-    uses gamma = vol(C1 u C2), alpha = min(20 * beta(C1, C2), alpha_cap), and
-    returns the best sweep prefix under `beta_hat`.
+    uses gamma = vol(C1 u C2), alpha = min(20 * beta(C1, C2), ALPHA_CAP), and
+    returns the best sweep prefix under TABLE1_BETA_HAT.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -91,19 +91,19 @@ def run_table1(
 
     beta_target = bipartiteness(g, c1, c2)
     gamma = g.volume(target)
-    alpha = min(20.0 * beta_target, alpha_cap)
+    alpha = min(20.0 * beta_target, ALPHA_CAP)
 
     def trial(i: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, n1, i]))
         u = int(target[rng.integers(target.size)])
         t0 = time.perf_counter()
-        pair = loc_bipart_dc(g, u, gamma, beta_hat, alpha=alpha, best_sweep=True)
+        pair = loc_bipart_dc(g, u, gamma, TABLE1_BETA_HAT, alpha=alpha, best_sweep=True)
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         row = {"trial": i, "seed_vertex": u, "found": pair is not None, "wall_ms": wall_ms}
         if pair is None:
             row.update({"beta": 1.0, "volume": 0.0, "ari": 0.0, "misclassified": 1.0})
             return row
-        if pair.beta > beta_hat or set(pair.l.tolist()) & set(pair.r.tolist()):
+        if pair.beta > TABLE1_BETA_HAT or set(pair.l.tolist()) & set(pair.r.tolist()):
             raise RuntimeError("returned pair violates the sweep contract")
         row.update(
             {
@@ -128,7 +128,7 @@ def run_table1(
             "beta_target": beta_target,
             "gamma": gamma,
             "alpha": alpha,
-            "beta_hat": beta_hat,
+            "beta_hat": TABLE1_BETA_HAT,
         },
         rows=rows,
     )
@@ -144,16 +144,13 @@ def run_table1(
 
 
 def run_table2(
-    k: int = 3,
-    n: int = 1000,
-    n_prime: int = 100,
     trials: int = 10,
     rng_seed: int = 1,
     steps: int = TABLE2_STEPS,
     attempts: int = TABLE2_ATTEMPTS,
-    phi: float = 0.1,
 ) -> BenchReport:
     """Planted local-cycle benchmark on CBM+; both seed sides, lower flow kept."""
+    k, n, n_prime, phi = TABLE2_K, TABLE2_N, TABLE2_N_PRIME, TABLE2_PHI
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     started = time.perf_counter()

@@ -149,8 +149,11 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ValueError(f"--pair expects 'a,b', got {args.pair!r}")
     l, r = result.get("l", []), result.get("r", [])
-    for v in list(l) + list(r):
-        if not (isinstance(v, int) and 0 <= v < labels.size):
+    for name, ids in (("l", l), ("r", r)):
+        if not isinstance(ids, list) or any(type(v) is not int for v in ids):
+            raise ParseError(f"{args.output}: {name!r} must be a list of integer vertex ids")
+    for v in l + r:
+        if not 0 <= v < labels.size:
             raise ParseError(
                 f"{args.output}: vertex id {v!r} outside [0, {labels.size}) of {args.labels}"
             )

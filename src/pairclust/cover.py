@@ -9,6 +9,12 @@ For an undirected graph the cover is the double cover: edge {u, v}
 lifts to {u1, v2} and {u2, v1}. For a digraph it is the semi-double
 cover: arc (u, v) lifts to the single undirected edge {u1, v2}, so the
 asymmetry of the lift encodes edge direction.
+
+Read backwards, the lift measures any cover set S. With L the bases of S's
+side-1 copies and R those of its side-2 copies, the cover edges inside S are
+exactly the base edges from L to R, so vol(S) = vol_out(L) + vol_in(R) and
+cut(S) = vol(S) - 2 e(L->R), even when S holds both copies of a vertex.
+`cover_cut_and_volume` measures every cover set this way.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from .graph import Graph
 
 __all__ = [
     "cover_vertex",
-    "cover_base",
-    "cover_side",
     "cover_degree",
     "cover_neighbors",
     "total_cover_volume",
@@ -30,8 +34,6 @@ __all__ = [
     "conductance_in_cover",
     "pair_to_cover_set",
     "to_cluster_pair",
-    "is_simple",
-    "doubled_part",
     "epsilon_simple_cleanup",
 ]
 
@@ -41,14 +43,6 @@ def cover_vertex(base: int, side: int) -> int:
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     return 2 * base + (side - 1)
-
-
-def cover_base(key: int) -> int:
-    return key >> 1
-
-
-def cover_side(key: int) -> int:
-    return (key & 1) + 1
 
 
 def _check_cover_vertex(g: Graph, key: int):
@@ -93,21 +87,14 @@ def total_cover_volume(g: Graph) -> float:
 
 
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
-    """(boundary weight, volume) of a cover set, by one direct scan.
-
-    A set or frozenset is scanned as given, so its iteration order (and with
-    it the float sums) stays that of the caller's object.
-    """
-    s = keys if isinstance(keys, (set, frozenset)) else set(keys)
-    cut = 0.0
-    vol = 0.0
-    for key in s:
-        vol += cover_degree(g, key)
-        nbr_keys, ws = cover_neighbors(g, key)
-        for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
-            if nb not in s:
-                cut += w
-    return cut, vol
+    """(boundary weight, volume) of a cover set, through the reduction to (L, R)."""
+    k = np.unique(keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64))
+    if k.size and (k[0] < 0 or k[-1] >= 2 * g.n):
+        bad = k[0] if k[0] < 0 else k[-1]
+        raise ValueError(f"cover vertex {bad} out of range [0, {2 * g.n})")
+    l, r = to_cluster_pair(k)
+    vol = float(g.degrees[l].sum()) + float(g.in_degrees[r].sum())
+    return vol - 2.0 * g._weight_between(l, r), vol
 
 
 def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
@@ -134,24 +121,7 @@ def to_cluster_pair(keys: Iterable[int]):
     return np.sort(k[~side2] >> 1), np.sort(k[side2] >> 1)
 
 
-def is_simple(keys: Iterable[int]) -> bool:
-    """True iff no base vertex has both cover copies in the set."""
-    s = set(keys)
-    return not any(key & 1 == 0 and key + 1 in s for key in s)
-
-
-def doubled_part(keys: Iterable[int]) -> set:
-    """Both copies of every base vertex whose two copies are in the set."""
-    s = set(keys)
-    p = set()
-    for key in s:
-        if key & 1 == 0 and key + 1 in s:
-            p.add(key)
-            p.add(key + 1)
-    return p
-
-
 def epsilon_simple_cleanup(keys: Iterable[int]) -> set:
-    """Drop every doubled base vertex; the result is always simple."""
+    """Drop both copies of every doubled base vertex; the result is always simple."""
     s = set(keys)
-    return s - doubled_part(s)
+    return {key for key in s if key ^ 1 not in s}

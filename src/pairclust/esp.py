@@ -5,7 +5,9 @@ random walk on the cover, then draw the threshold uniformly from (0, Q(X', S)]
 where Q(y, S) is the one-step probability of landing in S. Conditioned on the
 walker staying degree-proportionally distributed inside the current set, the
 set marginal is exactly the volume-biased (Doob-transformed) chain, and each
-step only touches the current set and its boundary.
+step only touches the current set and its boundary. The walk law reads the
+incremental neighbor masses; the sets themselves are measured by
+`cover_cut_and_volume`, through the reduction to (L, R).
 """
 
 from __future__ import annotations
@@ -107,20 +109,6 @@ class EspState:
             return inside
         return 0.5 * inside + 0.5 * self.nbr_mass.get(key, 0.0) / deg
 
-    def cut_weight(self) -> float:
-        """Boundary weight of the current set in the cover."""
-        cut = 0.0
-        for key in self.members:
-            cut += cover_degree(self.graph, key) - self.nbr_mass[key]
-        return cut
-
-    def conductance(self):
-        """Cover conductance of the current set, or None when undefined."""
-        denom = min(self.vol, total_cover_volume(self.graph) - self.vol)
-        if denom <= 0:
-            return None
-        return self.cut_weight() / denom
-
 
 def esp_step(state: EspState, rng) -> EspState:
     """Advance the coupled process one step, in place.
@@ -208,12 +196,11 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> EspSample:
         raise ValueError("step count must be nonnegative")
     state = EspState.from_seed(g, seed_key)
     best = frozenset(state.members)
-    best_phi = state.conductance()
-    best_phi = math.inf if best_phi is None else best_phi
+    best_phi = _conductance(g, state.members)
     for _ in range(t):
         esp_step(state, rng)
-        phi = state.conductance()
-        if phi is not None and phi < best_phi:
+        phi = _conductance(g, state.members)
+        if phi < best_phi:
             best_phi = phi
             best = frozenset(state.members)
     return EspSample(
@@ -222,6 +209,13 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> EspSample:
         best_conductance=best_phi,
         steps=t,
     )
+
+
+def _conductance(g: Graph, members: set) -> float:
+    """Cover conductance of a set, or inf when a side of the cut has zero volume."""
+    cut, vol = cover_cut_and_volume(g, members)
+    denom = min(vol, total_cover_volume(g) - vol)
+    return cut / denom if denom > 0 else math.inf
 
 
 def steps_for_target_flow(phi: float) -> int:

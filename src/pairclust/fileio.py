@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,8 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     """Read a text edge list: one `u v [w]` per line, `#` comments, 0-based ids.
 
     The weight defaults to 1.0. Directed files read `u v` as an arc u -> v.
-    Parallel edges merge by weight sum; self-loops and nonpositive weights are
-    rejected with the line number.
+    Parallel edges merge by weight sum; self-loops and nonpositive or
+    non-finite weights are rejected with the line number.
     """
     us, vs, ws = [], [], []
     max_id = -1
@@ -56,8 +57,8 @@ def load_edge_list(path, directed: bool = False) -> Graph:
             raise ParseError(f"{path}:{lineno}: negative vertex id")
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop at vertex {u}")
-        if not w > 0:
-            raise ParseError(f"{path}:{lineno}: edge weight must be > 0, got {w}")
+        if not 0 < w < math.inf:
+            raise ParseError(f"{path}:{lineno}: edge weight must be finite and > 0, got {w}")
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -92,7 +93,8 @@ def load_flow_matrix(path) -> Graph:
 
     Each unordered pair with asymmetric flow becomes one arc from the larger
     flow's origin, weighted by |M_jl - M_lj| / (M_jl + M_lj); balanced or
-    absent flows produce no edge. Duplicate rows accumulate.
+    absent flows produce no edge. Duplicate rows accumulate. Negative or
+    non-finite counts are rejected with the line number.
     """
     counts: dict = {}
     max_id = -1
@@ -108,8 +110,8 @@ def load_flow_matrix(path) -> Graph:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if j < 0 or l < 0:
             raise ParseError(f"{path}:{lineno}: negative vertex id")
-        if c < 0:
-            raise ParseError(f"{path}:{lineno}: negative count {c}")
+        if not 0 <= c < math.inf:
+            raise ParseError(f"{path}:{lineno}: count must be finite and >= 0, got {c}")
         counts[(j, l)] = counts.get((j, l), 0.0) + c
         max_id = max(max_id, j, l)
 

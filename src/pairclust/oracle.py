@@ -11,17 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import (
-    conductance_in_cover,
-    cover_cut_and_volume,
-    cover_degree,
-    cover_neighbors,
-    pair_to_cover_set,
-    total_cover_volume,
-)
+from .cover import cover_degree, pair_to_cover_set, total_cover_volume
 from .graph import Graph, bipartiteness, conductance
 
 __all__ = [
+    "dense_cover_adjacency",
     "dense_walk_matrix",
     "exact_pagerank",
     "brute_force_best_pair",
@@ -36,29 +30,35 @@ _PAIR_GUARD = 8
 _KERNEL_GUARD = 24
 
 
+def dense_cover_adjacency(g: Graph) -> np.ndarray:
+    """The (semi-)double cover as an explicit dense 2n x 2n weight matrix."""
+    dim = 2 * g.n
+    adj = np.zeros((dim, dim))
+    if g.directed:
+        for u in range(g.n):
+            ids, ws = g.neighbors(u)
+            adj[2 * u, 2 * ids + 1] = ws
+            adj[2 * ids + 1, 2 * u] = ws
+    else:
+        for u in range(g.n):
+            ids, ws = g.neighbors(u)
+            adj[2 * u, 2 * ids + 1] += ws
+            adj[2 * u + 1, 2 * ids] += ws
+    return adj
+
+
 def dense_walk_matrix(g: Graph, cover: bool = True) -> np.ndarray:
     """Dense lazy-walk matrix W = (I + D^-1 A) / 2; degree-0 rows are absorbing."""
     if cover:
-        dim = 2 * g.n
-        adj = np.zeros((dim, dim))
-        if g.directed:
-            for u in range(g.n):
-                ids, ws = g.neighbors(u)
-                adj[2 * u, 2 * ids + 1] = ws
-                adj[2 * ids + 1, 2 * u] = ws
-        else:
-            for u in range(g.n):
-                ids, ws = g.neighbors(u)
-                adj[2 * u, 2 * ids + 1] += ws
-                adj[2 * u + 1, 2 * ids] += ws
+        adj = dense_cover_adjacency(g)
     else:
         if g.directed:
             raise ValueError("base-graph walk matrix is undirected-only")
-        dim = g.n
-        adj = np.zeros((dim, dim))
+        adj = np.zeros((g.n, g.n))
         for u in range(g.n):
             ids, ws = g.neighbors(u)
             adj[u, ids] = ws
+    dim = adj.shape[0]
     deg = adj.sum(axis=1)
     w = np.eye(dim)
     pos = deg > 0
@@ -124,14 +124,19 @@ def brute_force_min_conductance(g: Graph, cover: bool = True):
         raise ValueError(f"brute-force guard exceeded: n={g.n} > {_PAIR_GUARD}")
     best = None
     if cover:
+        adj = dense_cover_adjacency(g)
+        deg = adj.sum(axis=1)
+        total = deg.sum()
         for assign in _pair_assignments(g.n):
             l = [v for v, a in enumerate(assign) if a == 1]
             r = [v for v, a in enumerate(assign) if a == 2]
             s = pair_to_cover_set(l, r)
-            try:
-                phi = conductance_in_cover(g, s)
-            except ValueError:
+            idx = sorted(s)
+            vol = deg[idx].sum()
+            denom = min(vol, total - vol)
+            if denom <= 0:
                 continue  # empty, or a zero-volume side of the cover cut
+            phi = float((vol - adj[np.ix_(idx, idx)].sum()) / denom)
             if best is None or phi < best[1]:
                 best = (s, phi)
     else:
@@ -150,18 +155,13 @@ def brute_force_min_conductance(g: Graph, cover: bool = True):
     return best
 
 
-def _membership_probabilities(g: Graph, s: set) -> dict:
+def _membership_probabilities(adj: np.ndarray, deg: np.ndarray, s: set) -> dict:
     """Q(y, S) = one lazy-walk-step probability of landing in S, for all cover y."""
-    q = {}
-    for key in range(2 * g.n):
-        deg = cover_degree(g, key)
-        if deg <= 0:
-            q[key] = 1.0 if key in s else 0.0
-            continue
-        nbr_keys, ws = cover_neighbors(g, key)
-        mass = sum(w for nb, w in zip(nbr_keys.tolist(), ws.tolist()) if nb in s)
-        q[key] = 0.5 * (1.0 if key in s else 0.0) + 0.5 * mass / deg
-    return q
+    inside = np.zeros(adj.shape[0])
+    inside[list(s)] = 1.0
+    mass = (adj * inside).sum(axis=1)
+    q = np.where(deg > 0, 0.5 * inside + 0.5 * mass / np.where(deg > 0, deg, 1.0), inside)
+    return dict(enumerate(q.tolist()))
 
 
 def exact_esp_kernel(g: Graph, s: set):
@@ -177,8 +177,12 @@ def exact_esp_kernel(g: Graph, s: set):
     s = set(s)
     if not s:
         raise ValueError("start set must be nonempty")
-    q = _membership_probabilities(g, s)
-    _, vol_s = cover_cut_and_volume(g, s)
+    if min(s) < 0 or max(s) >= 2 * g.n:
+        raise ValueError(f"start set must hold cover vertices in [0, {2 * g.n})")
+    adj = dense_cover_adjacency(g)
+    deg = adj.sum(axis=1)
+    q = _membership_probabilities(adj, deg, s)
+    vol_s = float(deg[list(s)].sum())
     if vol_s <= 0:
         raise ValueError("start set must have positive volume")
 
@@ -195,7 +199,7 @@ def exact_esp_kernel(g: Graph, s: set):
         nxt = levels[i + 1] if i + 1 < len(levels) else 0.0
         prob = threshold - nxt
         k[succ] = k.get(succ, 0.0) + prob
-        k_hat[succ] = k_hat.get(succ, 0.0) + prob * cover_cut_and_volume(g, succ)[1] / vol_s
+        k_hat[succ] = k_hat.get(succ, 0.0) + prob * float(deg[list(succ)].sum()) / vol_s
     return k, k_hat
 
 

@@ -87,10 +87,6 @@ class AprState:
     def r(self) -> dict:
         return _nonzero_dict(self.keys, self.r_mass)
 
-    def touched_cover_vertices(self) -> set:
-        """Every cover vertex that ever held mass."""
-        return set(self.keys.tolist())
-
     def run(self, on_push: Callable | None = None) -> "AprState":
         """Push rounds until every residual is below epsilon times its degree.
 

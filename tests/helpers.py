@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairclust import Graph
+from pairclust.oracle import dense_cover_adjacency
 
 
 def random_undirected(rng, n, p=0.35, weighted=False) -> Graph:
@@ -65,3 +66,30 @@ def mass_to_dense(p: dict, dim: int) -> np.ndarray:
 
 def dense_to_mass(vec: np.ndarray) -> dict:
     return {i: float(v) for i, v in enumerate(vec) if v != 0.0}
+
+
+def is_simple(keys) -> bool:
+    """True iff no base vertex has both cover copies in the set."""
+    s = set(keys)
+    return not any(key ^ 1 in s for key in s)
+
+
+def doubled_part(keys) -> set:
+    """Both copies of every base vertex whose two copies are in the set."""
+    s = set(keys)
+    return {key for key in s if key ^ 1 in s}
+
+
+def dense_cover_cut_and_volume(g: Graph, keys):
+    """(cut, vol) of a cover set, read off the oracle's explicit dense cover."""
+    adj = dense_cover_adjacency(g)
+    idx = sorted(set(keys))
+    vol = float(adj[idx].sum())
+    return vol - float(adj[np.ix_(idx, idx)].sum()), vol
+
+
+def dense_cover_conductance(g: Graph, keys) -> float:
+    """Cover conductance of a set, read off the oracle's explicit dense cover."""
+    cut, vol = dense_cover_cut_and_volume(g, keys)
+    total = float(dense_cover_adjacency(g).sum())
+    return cut / min(vol, total - vol)

@@ -31,10 +31,12 @@ from pairclust import (
     to_cluster_pair,
     total_cover_volume,
 )
-from pairclust.cover import cover_cut_and_volume, doubled_part
+from pairclust.cover import cover_cut_and_volume
 from pairclust.esp import EspState
 from pairclust.oracle import dense_walk_matrix
 from helpers import (
+    dense_cover_conductance,
+    doubled_part,
     mass_to_dense,
     random_connected_undirected,
     random_directed,
@@ -65,6 +67,7 @@ def test_criterion_1_reduction_identities():
         beta = bipartiteness(g, l, r)
         phi = conductance_in_cover(g, pair_to_cover_set(l, r))
         assert abs(phi - beta) <= 1e-12
+        assert abs(dense_cover_conductance(g, pair_to_cover_set(l, r)) - beta) <= 1e-12
 
     checked = 0
     while checked < 200:
@@ -78,6 +81,7 @@ def test_criterion_1_reduction_identities():
         f = flow_ratio(g, l, r)
         phi = conductance_in_cover(g, s)
         assert abs(phi - f) <= 1e-12
+        assert abs(dense_cover_conductance(g, s) - f) <= 1e-12
         checked += 1
 
     elapsed = time.perf_counter() - started
@@ -166,7 +170,7 @@ def test_criterion_3_apr_guarantees_and_locality():
     state_small, t_small = timed_run(small)
     state_big, t_big = timed_run(big)
 
-    touched = state_big.touched_cover_vertices()
+    touched = state_big.keys.tolist()
     assert {key >> 1 for key in touched} <= set(range(500))
     touched_volume = sum(cover_degree(big, key) for key in touched)
     assert touched_volume <= 1.0 / (epsilon * alpha)

@@ -283,6 +283,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(result_path) in err and "JSON object" in err
 
+    @pytest.mark.parametrize("l", [5, [True], [1.0]], ids=["int", "bool", "float"])
+    def test_ids_not_an_int_list_is_parse_error(self, tmp_path, capsys, l):
+        # a bare int used to end in a TypeError traceback; true was read as vertex 1
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps({"l": l, "r": [0], "found": True}))
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 1\n")
+        code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(result_path) in err and "'l' must be a list of integer vertex ids" in err
+
 
 class TestOracle:
     def test_pagerank_check(self, tmp_path, capsys):

@@ -10,13 +10,19 @@ from pairclust import (
     cover_vertex,
     epsilon_simple_cleanup,
     flow_ratio,
-    is_simple,
     pair_to_cover_set,
     to_cluster_pair,
     total_cover_volume,
 )
-from pairclust.cover import cover_cut_and_volume, doubled_part
-from helpers import random_directed, random_disjoint_pair, random_undirected
+from pairclust.cover import cover_cut_and_volume
+from helpers import (
+    dense_cover_conductance,
+    doubled_part,
+    is_simple,
+    random_directed,
+    random_disjoint_pair,
+    random_undirected,
+)
 
 
 class TestCoverNeighbors:
@@ -58,6 +64,7 @@ class TestConductanceInCover:
     def test_single_edge_singleton(self):
         g = Graph(2, [(0, 1)])
         assert conductance_in_cover(g, {cover_vertex(0, 1)}) == 1.0
+        assert dense_cover_conductance(g, {cover_vertex(0, 1)}) == 1.0
 
     def test_dense_pair_identity_undirected(self):
         rng = np.random.default_rng(42)
@@ -69,8 +76,10 @@ class TestConductanceInCover:
                 beta = bipartiteness(g, l, r)
             except ValueError:
                 continue
-            phi = conductance_in_cover(g, pair_to_cover_set(l, r))
+            s = pair_to_cover_set(l, r)
+            phi = conductance_in_cover(g, s)
             assert phi == pytest.approx(beta, abs=1e-12)
+            assert dense_cover_conductance(g, s) == pytest.approx(beta, abs=1e-12)
 
     def test_flow_identity_directed(self):
         rng = np.random.default_rng(43)
@@ -88,6 +97,7 @@ class TestConductanceInCover:
             if vol > total_cover_volume(g) / 2:
                 continue  # identity regime: the set side is the smaller one
             assert conductance_in_cover(g, s) == pytest.approx(f, abs=1e-12)
+            assert dense_cover_conductance(g, s) == pytest.approx(f, abs=1e-12)
             checked += 1
 
     def test_identities_exhaustive_small(self):
@@ -108,6 +118,7 @@ class TestConductanceInCover:
                     beta = None
                 if beta is not None:
                     assert conductance_in_cover(und, s) == pytest.approx(beta, abs=1e-12)
+                    assert dense_cover_conductance(und, s) == pytest.approx(beta, abs=1e-12)
                 try:
                     f = flow_ratio(dg, l, r)
                 except ValueError:
@@ -115,6 +126,7 @@ class TestConductanceInCover:
                 vol = sum(cover_degree(dg, key) for key in s)
                 if 0 < vol <= total_cover_volume(dg) / 2:
                     assert conductance_in_cover(dg, s) == pytest.approx(f, abs=1e-12)
+                    assert dense_cover_conductance(dg, s) == pytest.approx(f, abs=1e-12)
 
     def test_empty_rejected(self):
         g = Graph(2, [(0, 1)])

@@ -74,7 +74,8 @@ class TestEspStep:
             esp_step(state, rng)
             cut, vol = cover_cut_and_volume(g, state.members)
             assert state.vol == pytest.approx(vol, rel=1e-9)
-            assert state.cut_weight() == pytest.approx(cut, rel=1e-9, abs=1e-9)
+            incremental_cut = sum(cover_degree(g, k) - state.nbr_mass[k] for k in state.members)
+            assert incremental_cut == pytest.approx(cut, rel=1e-9, abs=1e-9)
 
     def test_empirical_step_matches_exact_kernel(self):
         g = small_digraph()

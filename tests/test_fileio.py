@@ -39,9 +39,10 @@ class TestLoadEdgeList:
 
     def test_negative_weight_error(self, tmp_path):
         f = tmp_path / "g.edgelist"
-        f.write_text("0 1 1.0\n1 2 -3\n")
-        with pytest.raises(ParseError, match=":2:"):
-            load_edge_list(f)
+        for bad in ("-3", "inf", "-inf", "nan"):
+            f.write_text(f"0 1 1.0\n1 2 {bad}\n")
+            with pytest.raises(ParseError, match=":2:"):
+                load_edge_list(f)
 
     def test_malformed_line(self, tmp_path):
         f = tmp_path / "g.edgelist"
@@ -113,9 +114,10 @@ class TestLoadFlowMatrix:
 
     def test_negative_count_rejected(self, tmp_path):
         f = tmp_path / "m.csv"
-        f.write_text("0,1,-2\n")
-        with pytest.raises(ParseError, match=":1:"):
-            load_flow_matrix(f)
+        for bad in ("-2", "inf", "nan"):
+            f.write_text(f"0,1,{bad}\n")
+            with pytest.raises(ParseError, match=":1:"):
+                load_flow_matrix(f)
 
     def test_malformed_row(self, tmp_path):
         f = tmp_path / "m.csv"

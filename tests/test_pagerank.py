@@ -304,5 +304,5 @@ def test_locality_no_work_outside_component():
         edges.extend((u, int(v), float(w)) for v, w in zip(ids, ws) if v > u)
     g = Graph(512, edges + blob_edges)
     state = AprState(g, 0, 0.2, 1e-5).run()
-    touched = {key >> 1 for key in state.touched_cover_vertices()}
+    touched = {key >> 1 for key in state.keys.tolist()}
     assert touched <= set(range(12))

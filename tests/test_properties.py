@@ -1,4 +1,4 @@
-"""Property tests on random small weighted graphs: round push and sweep cut."""
+"""Property tests on random small weighted graphs: round push, sweep cut and cover scan."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pairclust import AprState, Graph, bipartiteness, exact_pagerank, sweep_cut, to_cluster_pair
 from pairclust.cover import cover_cut_and_volume, total_cover_volume
+from helpers import dense_cover_cut_and_volume
 
 SETTINGS = settings(
     max_examples=60,
@@ -24,6 +25,15 @@ def graphs(draw, max_n=10, weights=st.floats(0.2, 3.0)):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
     return Graph(n, [(u, v, draw(weights)) for u, v in chosen])
+
+
+@st.composite
+def digraphs(draw, max_n=8, weights=st.floats(0.2, 3.0)):
+    """A random directed weighted graph with at least one arc."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    return Graph(n, [(u, v, draw(weights)) for u, v in chosen], directed=True)
 
 
 @SETTINGS
@@ -77,6 +87,21 @@ def test_cut_weight_matches_dense_adjacency(g, data):
         weights[u, ids] = ws
     expected = float(weights[np.ix_(a, b)].sum()) if a and b else 0.0
     assert math.isclose(g.cut_weight(a, b), expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@SETTINGS
+@given(g=st.one_of(graphs(), digraphs()), data=st.data())
+def test_cover_scan_matches_dense_cover(g, data):
+    # any cover set: empty, single-side, or holding both copies of a vertex
+    keys = data.draw(st.sets(st.integers(0, 2 * g.n - 1)))
+    side = data.draw(st.sampled_from([None, 0, 1]))
+    if side is not None:
+        keys = {key for key in keys if key & 1 == side}
+    cut, vol = cover_cut_and_volume(g, keys)
+    dense_cut, dense_vol = dense_cover_cut_and_volume(g, keys)
+    tol = 1e-12 * max(dense_vol, 1.0)
+    assert math.isclose(vol, dense_vol, rel_tol=1e-12, abs_tol=tol)
+    assert math.isclose(cut, dense_cut, rel_tol=1e-12, abs_tol=tol)
 
 
 def brute_force_sweep(g: Graph, p: dict, beta_target: float, best: bool):
