@@ -20,7 +20,6 @@ from .cover import (
 )
 from .esp import (
     DirectedClusterPair,
-    EspSample,
     EspState,
     esp_step,
     evo_cut_directed,

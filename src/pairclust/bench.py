@@ -79,6 +79,8 @@ def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchRepo
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if n1 < 1:
+        raise ValueError(f"n1 must be at least 1, got {n1}")
     started = time.perf_counter()
     spec = SbmSpec(n1=n1, p1=1.0 / n1, q1=18.0 / n1)
     root = np.random.SeedSequence([rng_seed, n1])

@@ -159,6 +159,9 @@ def _cmd_eval(args) -> int:
             )
     c1 = np.flatnonzero(labels == first)
     c2 = np.flatnonzero(labels == second)
+    for label, members in ((first, c1), (second, c2)):
+        if members.size == 0:
+            raise ValueError(f"--pair label {label} is carried by no vertex of {args.labels}")
     truth = pair_labeling(labels.size, c1, c2)
     predicted = pair_labeling(labels.size, l, r)
     report = {

@@ -6,8 +6,9 @@ where Q(y, S) is the one-step probability of landing in S. Conditioned on the
 walker staying degree-proportionally distributed inside the current set, the
 set marginal is exactly the volume-biased (Doob-transformed) chain, and each
 step only touches the current set and its boundary. The walk law reads the
-incremental neighbor masses; the sets themselves are measured by
-`cover_cut_and_volume`, through the reduction to (L, R).
+incremental neighbor masses. A sample returns only its final set; sets are
+measured (by `cover_cut_and_volume`, through the reduction to (L, R)) only by
+the cleanup-bound check.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from .cover import (
     cover_neighbors,
     epsilon_simple_cleanup,
     to_cluster_pair,
-    total_cover_volume,
 )
 from .graph import Graph, flow_ratio
 
 __all__ = [
     "EspState",
     "esp_step",
-    "EspSample",
     "generate_sample",
     "DirectedClusterPair",
     "evo_cut_directed",
@@ -49,13 +48,12 @@ class EspState:
     of the current set.
     """
 
-    __slots__ = ("graph", "members", "walker", "step_index", "nbr_mass", "vol")
+    __slots__ = ("graph", "members", "walker", "nbr_mass", "vol")
 
     def __init__(self, g: Graph, members: set, walker: int, nbr_mass: dict, vol: float):
         self.graph = g
         self.members = members
         self.walker = walker
-        self.step_index = 0
         self.nbr_mass = nbr_mass
         self.vol = vol
 
@@ -97,9 +95,7 @@ class EspState:
         return cls(g, members, walker, nbr_mass, vol)
 
     def clone(self) -> "EspState":
-        dup = EspState(self.graph, set(self.members), self.walker, dict(self.nbr_mass), self.vol)
-        dup.step_index = self.step_index
-        return dup
+        return EspState(self.graph, set(self.members), self.walker, dict(self.nbr_mass), self.vol)
 
     def _q(self, key: int) -> float:
         """Q(key, S): one lazy-walk-step probability of landing in the current set."""
@@ -170,52 +166,23 @@ def esp_step(state: EspState, rng) -> EspState:
 
     state.members = new_members
     state.walker = x
-    state.step_index += 1
     if x not in new_members:
         raise RuntimeError("coupling invariant violated: walker left the evolving set")
     return state
 
 
-@dataclass(frozen=True)
-class EspSample:
-    """Final set of a sampled trajectory plus the best set seen along the way."""
-
-    final: frozenset
-    best: frozenset
-    best_conductance: float
-    steps: int
-
-
-def generate_sample(g: Graph, seed_key: int, t: int, rng) -> EspSample:
+def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
     """Sample the t-th set of the volume-biased process started from {seed_key}.
 
-    Also records the minimum-conductance set over the whole trajectory, which
-    is the quantity the process is guaranteed to make small.
+    Returns the final set only. Intermediate sets are not measured, because
+    the directed search turns only the final set into a pair.
     """
     if t < 0:
         raise ValueError("step count must be nonnegative")
     state = EspState.from_seed(g, seed_key)
-    best = frozenset(state.members)
-    best_phi = _conductance(g, state.members)
     for _ in range(t):
         esp_step(state, rng)
-        phi = _conductance(g, state.members)
-        if phi < best_phi:
-            best_phi = phi
-            best = frozenset(state.members)
-    return EspSample(
-        final=frozenset(state.members),
-        best=best,
-        best_conductance=best_phi,
-        steps=t,
-    )
-
-
-def _conductance(g: Graph, members: set) -> float:
-    """Cover conductance of a set, or inf when a side of the cut has zero volume."""
-    cut, vol = cover_cut_and_volume(g, members)
-    denom = min(vol, total_cover_volume(g) - vol)
-    return cut / denom if denom > 0 else math.inf
+    return frozenset(state.members)
 
 
 def steps_for_target_flow(phi: float) -> int:
@@ -233,7 +200,6 @@ class DirectedClusterPair:
     r: np.ndarray
     flow: float
     volume: float
-    steps_used: int
 
 
 def _check_cleanup_bound(g: Graph, s: set, s_simple: set):
@@ -278,6 +244,8 @@ def evo_cut_directed(
     """
     if not g.directed:
         raise ValueError("evo_cut_directed requires a directed graph")
+    if not 0 <= u < g.n:
+        raise ValueError(f"seed vertex {u} outside [0, {g.n})")
     if side not in (1, 2, "both"):
         raise ValueError("side must be 1, 2 or 'both'")
     if not 0 < phi <= 1:
@@ -301,8 +269,7 @@ def evo_cut_directed(
 
 def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
-    sample = generate_sample(g, seed_key, t, rng)
-    s = set(sample.final)
+    s = set(generate_sample(g, seed_key, t, rng))
     s_simple = epsilon_simple_cleanup(s)
     if not s_simple:
         return None
@@ -312,4 +279,4 @@ def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     if denom <= 0:
         return None
     flow = flow_ratio(g, l, r)
-    return DirectedClusterPair(l=l, r=r, flow=flow, volume=denom, steps_used=t)
+    return DirectedClusterPair(l=l, r=r, flow=flow, volume=denom)

@@ -264,10 +264,9 @@ def loc_bipart_dc(
     Work scales as 1/(epsilon * alpha) = 7560 * gamma / beta_hat**2, so small
     targets without an explicit alpha are expensive by construction.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if beta_hat <= 0:
-        raise ValueError("beta_hat must be positive")
+    for name, value in (("gamma", gamma), ("beta_hat", beta_hat)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if alpha is None:
         alpha = beta_hat * beta_hat / 378.0
         if alpha > 1.0:

@@ -353,8 +353,7 @@ def test_criterion_9_cleanup_bound_on_every_run():
         # evo_cut_directed re-checks the bound internally and raises on violation
         evo_cut_directed(g, u, 1 + trial % 2, 0.1, rng, steps=2 + trial % 6)
 
-        sample = generate_sample(g, cover_vertex(u, 1), 2 + trial % 6, rng)
-        s = set(sample.final)
+        s = set(generate_sample(g, cover_vertex(u, 1), 2 + trial % 6, rng))
         p = doubled_part(s)
         clean = s - p
         cut_s, vol_s = cover_cut_and_volume(g, s)

@@ -295,6 +295,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(result_path) in err and "'l' must be a list of integer vertex ids" in err
 
+    def test_pair_label_carried_by_no_vertex_rejected(self, tmp_path, capsys):
+        # an ARI against an empty planted cluster would be meaningless
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps({"l": [0], "r": [1], "found": True}))
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 0\n2 1\n3 1\n")
+        code = main(
+            ["eval", "--output", str(result_path), "--labels", str(labels_path), "--pair", "0,7"]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "label 7" in err and str(labels_path) in err
+
 
 class TestOracle:
     def test_pagerank_check(self, tmp_path, capsys):
@@ -359,6 +373,13 @@ class TestBench:
         out, err = capsys.readouterr()
         assert "trials must be at least 1" in err and "nan" not in out
 
+    @pytest.mark.parametrize("n1", ["0", "-3"])
+    def test_nonpositive_n1_rejected(self, capsys, n1):
+        # checked before p1 = 1/n1 divides
+        code = main(["bench", "table1", f"--n1={n1}", "--trials", "1"])
+        assert code == 3
+        assert f"n1 must be at least 1, got {n1}" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -396,3 +417,35 @@ class TestExitCodes:
             ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", "--gamma", "-5", "--beta", "0.5"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "gamma, beta, name",
+        [
+            ("nan", "0.5", "gamma"),
+            ("inf", "0.5", "gamma"),
+            ("10", "nan", "beta_hat"),
+            ("10", "inf", "beta_hat"),
+        ],
+    )
+    def test_non_finite_target_is_three(self, tmp_path, capsys, gamma, beta, name):
+        # nan passes a plain `<= 0` check, so finiteness is checked explicitly
+        path = bipartite_island(tmp_path)
+        code = main(
+            [
+                "cluster-bipartite",
+                "-g",
+                str(path),
+                "--seed-vertex",
+                "0",
+                "--gamma",
+                gamma,
+                "--beta",
+                beta,
+                "--alpha",
+                "0.5",
+            ]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{name} must be finite and positive" in err

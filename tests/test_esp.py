@@ -102,17 +102,7 @@ class TestGenerateSample:
     def test_zero_steps_returns_seed(self):
         g = small_digraph()
         rng = np.random.default_rng(0)
-        sample = generate_sample(g, cover_vertex(0, 1), 0, rng)
-        assert sample.final == frozenset({cover_vertex(0, 1)})
-        assert sample.steps == 0
-
-    def test_records_best_conductance_along_path(self):
-        g = small_digraph()
-        rng = np.random.default_rng(1)
-        sample = generate_sample(g, cover_vertex(0, 1), 8, rng)
-        cut, vol = cover_cut_and_volume(g, sample.best)
-        denom = min(vol, total_cover_volume(g) - vol)
-        assert sample.best_conductance == pytest.approx(cut / denom)
+        assert generate_sample(g, cover_vertex(0, 1), 0, rng) == frozenset({cover_vertex(0, 1)})
 
     def test_invalid_seed_rejected(self):
         g = Graph(2, [(0, 1)], directed=True)
@@ -123,13 +113,13 @@ class TestGenerateSample:
         g = random_directed(np.random.default_rng(11), 15, p=0.2)
         a = generate_sample(g, cover_vertex(0, 1), 12, np.random.default_rng(123))
         b = generate_sample(g, cover_vertex(0, 1), 12, np.random.default_rng(123))
-        assert a.final == b.final
-        assert a.best == b.best
+        assert a == b
 
     def test_path_conductance_bound_statistical(self):
         # min conductance along the trajectory beats 3*sqrt(4/T * ln vol) for
         # at least 8 of 9 runs; T is chosen large enough that the bound is
-        # below 1 and the check is not vacuous
+        # below 1 and the check is not vacuous. The test steps the process
+        # itself, because a sample returns only its final set.
         rng = np.random.default_rng(42)
         arcs = []
         for u in range(12):
@@ -142,13 +132,24 @@ class TestGenerateSample:
         arcs.append((12, 25))
         g = Graph(54, arcs, directed=True)
         t = 250
-        bound = 3.0 * np.sqrt(4.0 / t * np.log(total_cover_volume(g)))
+        total = total_cover_volume(g)
+        bound = 3.0 * np.sqrt(4.0 / t * np.log(total))
+
+        def conductance(members):
+            cut, vol = cover_cut_and_volume(g, members)
+            denom = min(vol, total - vol)
+            return cut / denom if denom > 0 else np.inf
+
         assert bound < 1.0
         hits = 0
         runs = 45
         for _ in range(runs):
-            sample = generate_sample(g, cover_vertex(int(rng.integers(12)), 1), t, rng)
-            if sample.best_conductance <= bound:
+            state = EspState.from_seed(g, cover_vertex(int(rng.integers(12)), 1))
+            best = conductance(state.members)
+            for _ in range(t):
+                esp_step(state, rng)
+                best = min(best, conductance(state.members))
+            if best <= bound:
                 hits += 1
         assert hits / runs >= 8.0 / 9.0
 
@@ -207,6 +208,13 @@ class TestEvoCutDirected:
         with pytest.raises(ValueError, match="degree 0"):
             evo_cut_directed(g, 0, 2, 0.1, np.random.default_rng(4), steps=5)
         assert evo_cut_directed(g, 4, "both", 0.1, np.random.default_rng(4)) is None
+
+    @pytest.mark.parametrize("side", [1, 2, "both"])
+    @pytest.mark.parametrize("u", [-1, 4])
+    def test_seed_vertex_out_of_range(self, side, u):
+        # the error names the seed vertex, not its cover key
+        with pytest.raises(ValueError, match=rf"seed vertex {u} outside \[0, 4\)"):
+            evo_cut_directed(small_digraph(), u, side, 0.1, np.random.default_rng(0), steps=3)
 
     def test_attempts_validation(self):
         g = small_digraph()

@@ -1,12 +1,24 @@
-"""Property tests on random small weighted graphs: round push, sweep cut and cover scan."""
+"""Property tests on random small weighted graphs: round push, sweep cut, cover scan
+and the edge-list round trip."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairclust import AprState, Graph, bipartiteness, exact_pagerank, sweep_cut, to_cluster_pair
+from pairclust import (
+    AprState,
+    Graph,
+    bipartiteness,
+    exact_pagerank,
+    load_edge_list,
+    sweep_cut,
+    to_cluster_pair,
+    write_edge_list,
+)
 from pairclust.cover import cover_cut_and_volume, total_cover_volume
 from helpers import dense_cover_cut_and_volume
 
@@ -102,6 +114,25 @@ def test_cover_scan_matches_dense_cover(g, data):
     tol = 1e-12 * max(dense_vol, 1.0)
     assert math.isclose(vol, dense_vol, rel_tol=1e-12, abs_tol=tol)
     assert math.isclose(cut, dense_cut, rel_tol=1e-12, abs_tol=tol)
+
+
+@SETTINGS
+@given(g=st.one_of(graphs(), digraphs()))
+def test_edge_list_round_trip(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.edgelist", Path(tmp) / "b.edgelist"
+        write_edge_list(g, first)
+        h = load_edge_list(first, directed=g.directed)
+        write_edge_list(h, second)
+        assert second.read_bytes() == first.read_bytes()
+    # the format stores no vertex count: n is one past the largest endpoint
+    endpoints = np.concatenate([np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices])
+    assert h.n == int(endpoints.max()) + 1
+    assert h.directed == g.directed
+    assert h.edge_count == g.edge_count
+    assert np.array_equal(h.indptr, g.indptr[: h.n + 1])
+    assert np.array_equal(h.indices, g.indices)
+    assert np.array_equal(h.weights, g.weights)
 
 
 def brute_force_sweep(g: Graph, p: dict, beta_target: float, best: bool):
