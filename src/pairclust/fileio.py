@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,18 @@ class ParseError(ValueError):
     """Malformed input file; the message carries the offending line number."""
 
 
+_EDGE_FIELDS = [("u", "i8"), ("v", "i8"), ("w", "f8")]
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64(token: str) -> int:
+    """`int(token)`, refused with a ValueError if it does not fit in an int64 array."""
+    value = int(token)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{token} does not fit in int64")
+    return value
+
+
 def _data_lines(path):
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -40,16 +53,54 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     The weight defaults to 1.0. Directed files read `u v` as an arc u -> v.
     Parallel edges merge by weight sum; self-loops and nonpositive or
     non-finite weights are rejected with the line number.
+
+    A file whose data lines all have two fields, or all three, is parsed in
+    one numpy pass. Anything else, and any file that breaks a rule, goes
+    through the line parser, which names the offending line.
     """
+    edges = _bulk_edges(path)
+    if edges is None:
+        edges = _line_edges(path)
+    us, vs, ws = edges
+    n = int(max(us.max(), vs.max())) + 1 if us.size else 0
+    return Graph.from_arrays(n, us, vs, ws, directed=directed)
+
+
+def _bulk_edges(path):
+    """(u, v, w) arrays of a well-formed file, or None where the line parser must decide.
+
+    numpy reads from an open handle rather than the path, because it would
+    open a `.gz` path as gzip and fetch a URL, which the line parser never
+    does. It accepts fewer spellings than `int` (no `1_0`, no non-ASCII
+    digits, nothing outside int64); those files fall back to the line parser.
+    """
+    with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for fields in (_EDGE_FIELDS, _EDGE_FIELDS[:2]):
+            handle.seek(0)
+            try:
+                rows = np.loadtxt(handle, dtype=fields, comments="#", ndmin=1)
+                break
+            except ValueError:
+                continue
+        else:
+            return None
+    us, vs = rows["u"], rows["v"]
+    ws = rows["w"] if len(rows.dtype.names) == 3 else np.ones(rows.size)
+    valid = (us >= 0) & (vs >= 0) & (us != vs) & (ws > 0) & (ws < np.inf)
+    return (us, vs, ws) if valid.all() else None
+
+
+def _line_edges(path):
+    """The reference parser: one line at a time, raising a ParseError that names the line."""
     us, vs, ws = [], [], []
-    max_id = -1
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
         try:
-            u = int(parts[0])
-            v = int(parts[1])
+            u = _int64(parts[0])
+            v = _int64(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
@@ -62,13 +113,10 @@ def load_edge_list(path, directed: bool = False) -> Graph:
         us.append(u)
         vs.append(v)
         ws.append(w)
-        max_id = max(max_id, u, v)
-    return Graph.from_arrays(
-        max_id + 1,
+    return (
         np.asarray(us, dtype=np.int64),
         np.asarray(vs, dtype=np.int64),
         np.asarray(ws, dtype=np.float64),
-        directed=directed,
     )
 
 
@@ -103,8 +151,8 @@ def load_flow_matrix(path) -> Graph:
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'j,l,count', got {line!r}")
         try:
-            j = int(parts[0])
-            l = int(parts[1])
+            j = _int64(parts[0])
+            l = _int64(parts[1])
             c = float(parts[2])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
@@ -163,8 +211,8 @@ def load_labels(path) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'vertex label', got {line!r}")
         try:
-            v = int(parts[0])
-            lab = int(parts[1])
+            v = _int64(parts[0])
+            lab = _int64(parts[1])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if v < 0:

@@ -411,6 +411,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("0 1\n9223372036854775808 2\n", ["cluster-bipartite", "--gamma", "10", "--beta", "0.5"]),
+            ("0,1,3\n9223372036854775808,2,1\n", ["cluster-directed", "--format", "flow", "--phi", "0.5"]),
+        ],
+    )
+    def test_id_outside_int64_is_two(self, tmp_path, capsys, text, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(argv + ["-g", str(bad), "--seed-vertex", "0"])
+        assert code == 2
+        assert f"{bad}:2: 9223372036854775808 does not fit in int64" in capsys.readouterr().err
+
     def test_invalid_params_is_three(self, tmp_path):
         path = bipartite_island(tmp_path)
         code = main(

@@ -3,6 +3,7 @@ import pytest
 
 from pairclust import (
     Graph,
+    fileio,
     ParseError,
     graph_fingerprint,
     load_edge_list,
@@ -63,6 +64,80 @@ class TestLoadEdgeList:
         g = load_edge_list(f)
         assert g.edge_count == 1
         assert g.degree(0) == 3.0
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1\n1 2\n2 0\n",
+            "# header\n0 1 2.5  # inline\n\n1\t2\t0.5\r\n+3 0 1e-3\n",
+            "",
+            "# comments only\n\n",
+        ],
+    )
+    def test_well_formed_files_skip_the_line_parser(self, tmp_path, monkeypatch, text):
+        f = tmp_path / "g.edgelist"
+        f.write_text(text)
+        expected = load_edge_list(f)
+
+        def refuse(path):
+            raise AssertionError("the line parser was entered")
+
+        monkeypatch.setattr(fileio, "_data_lines", refuse)
+        g = load_edge_list(f)
+        assert g.n == expected.n
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
+        assert np.array_equal(g.weights, expected.weights)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1\n1 2 1.5\n2 2\n", 3),  # mixed widths, then a self-loop
+            ("0 1 1.0\n1 2 0\n", 2),
+            ("0 1\n-1 2\n", 2),
+        ],
+    )
+    def test_bad_files_are_named_by_the_line_parser(self, tmp_path, text, line):
+        f = tmp_path / "g.edgelist"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=f"g.edgelist:{line}: "):
+            load_edge_list(f)
+
+    def test_gzip_suffix_is_read_as_text(self, tmp_path):
+        # numpy opens a `.gz` path as gzip; the loader must read it as text
+        f = tmp_path / "g.edgelist.gz"
+        f.write_text("0 1\n")
+        assert load_edge_list(f).edge_count == 1
+
+
+class TestInt64Range:
+    HUGE = str(2**63)
+
+    def test_edge_list_id(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text(f"0 1\n{self.HUGE} 2\n")
+        with pytest.raises(ParseError, match=f":2: {self.HUGE} does not fit in int64"):
+            load_edge_list(f)
+
+    def test_flow_matrix_id(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text(f"0,1,3\n1,{self.HUGE},1\n")
+        with pytest.raises(ParseError, match=":2: .* does not fit in int64"):
+            load_flow_matrix(f)
+
+    @pytest.mark.parametrize("line", [f"1 {2**63}", f"1 {-(2**63) - 1}", f"{2**63} 1"])
+    def test_labels(self, tmp_path, line):
+        f = tmp_path / "g.labels"
+        f.write_text(f"0 0\n{line}\n")
+        with pytest.raises(ParseError, match=":2: .* does not fit in int64"):
+            load_labels(f)
+
+    def test_int64_extremes_still_load(self, tmp_path):
+        f = tmp_path / "g.labels"
+        f.write_text(f"0 {2**63 - 1}\n1 {-(2**63)}\n")
+        assert load_labels(f).tolist() == [2**63 - 1, -(2**63)]
 
 
 class TestWriteEdgeList:

@@ -1,9 +1,14 @@
-"""Property tests on random small weighted graphs: round push, sweep cut, cover scan
-and the edge-list round trip."""
+"""Property tests on random small weighted graphs: round push, sweep cut, cover scan,
+the edge-list round trip, the bulk edge-list parse and the CLI's exit codes on
+arbitrary graph files."""
 
+import contextlib
+import io
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -12,13 +17,17 @@ from hypothesis import strategies as st
 from pairclust import (
     AprState,
     Graph,
+    ParseError,
     bipartiteness,
     exact_pagerank,
+    fileio,
+    graph_fingerprint,
     load_edge_list,
     sweep_cut,
     to_cluster_pair,
     write_edge_list,
 )
+from pairclust.cli import main
 from pairclust.cover import cover_cut_and_volume, total_cover_volume
 from helpers import dense_cover_cut_and_volume
 
@@ -133,6 +142,125 @@ def test_edge_list_round_trip(g):
     assert np.array_equal(h.indptr, g.indptr[: h.n + 1])
     assert np.array_equal(h.indices, g.indices)
     assert np.array_equal(h.weights, g.weights)
+
+
+# Ids stay small or leave int64 altogether: an id inside int64 makes n = id + 1
+# and the graph allocates O(n), which no test should do for a large id.
+_PLAIN_IDS = st.integers(0, 12).map(str)
+_ODD_IDS = st.sampled_from(
+    ["+5", "-1", "-7", "-0", "007", "1_0", "1.0", "0x10", "\u0663", str(2**63), str(-(2**63) - 1)]
+)
+_PLAIN_WEIGHTS = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.floats(1e-3, 1e3).map(lambda w: f"{w:.25g}"),
+    st.sampled_from(["1", "+2", ".5", "5.", "1e-3"]),
+)
+_ODD_WEIGHTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0", "-2.5", "nan", "-nan", "inf", "+inf", "Infinity", "-inf", "1e400"]),
+    st.sampled_from(["1e-400", "1_0", "\u0661.5", "0x1p3"]),
+)
+# str.split also splits on the Unicode spaces below; file iteration does not end a line there
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t", "\x0b", "\x0c", "\x85", "\u2028"])
+
+
+def _edge_line(draw, tokens):
+    line = draw(_GAPS).join(tokens)
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(["", " ", "\t"])) + line
+    if draw(st.booleans()):
+        line += draw(st.sampled_from([" # inline", "#", "  # 9 9 9"]))
+    return line
+
+
+@st.composite
+def _plain_lines(draw, width):
+    """A well-formed line: an edge of `width` fields (2 or 3 if None), a comment or a blank."""
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+    if kind == "comment":
+        return "# " + draw(st.sampled_from(["header", "0 1 2", ""]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    tokens = [draw(_PLAIN_IDS), draw(_PLAIN_IDS)]
+    if (width or draw(st.sampled_from([2, 3]))) == 3:
+        tokens.append(draw(_PLAIN_WEIGHTS))
+    return _edge_line(draw, tokens)
+
+
+@st.composite
+def _odd_lines(draw):
+    """An edge line with one odd id or weight, or a line that is no edge at all."""
+    kind = draw(st.sampled_from(["id", "weight", "junk"]))
+    if kind == "junk":
+        return draw(st.sampled_from(["nope", "0", "0 1 2 3", "0,1", "0 1 # 2 3 4"]))
+    if kind == "weight":
+        return _edge_line(draw, [draw(_PLAIN_IDS), draw(_PLAIN_IDS), draw(_ODD_WEIGHTS)])
+    tokens = [draw(_ODD_IDS), draw(_PLAIN_IDS)]
+    if draw(st.booleans()):
+        tokens.reverse()
+    if draw(st.booleans()):
+        tokens.append(draw(_PLAIN_WEIGHTS))
+    return _edge_line(draw, tokens)
+
+
+@st.composite
+def edge_files(draw):
+    """The bytes of an edge-list file: 2-column, 3-column or mixed well-formed
+    lines, of which up to two may be replaced by odd ones (ids outside int64 or
+    spelled in ways numpy refuses, bad weights, lines that are no edge)."""
+    width = draw(st.sampled_from([2, 3, None]))
+    lines = draw(st.lists(_plain_lines(width), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_odd_lines())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text.encode("utf-8")
+
+
+def _load_or_error(path, directed):
+    try:
+        return load_edge_list(path, directed=directed)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=edge_files(), directed=st.booleans())
+def test_bulk_parse_agrees_with_line_parser(data, directed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edgelist"
+        path.write_bytes(data)
+        bulk = fileio._bulk_edges(path)
+        got = _load_or_error(path, directed)
+        with mock.patch.object(fileio, "_bulk_edges", return_value=None):
+            want = _load_or_error(path, directed)
+    if isinstance(want, str):
+        # what the line parser refuses, the bulk parse never accepts
+        assert bulk is None
+        assert got == want
+        return
+    assert isinstance(got, Graph)
+    assert (got.n, got.directed, got.edge_count) == (want.n, want.directed, want.edge_count)
+    for name in ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert graph_fingerprint(got) == graph_fingerprint(want)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(data=edge_files(), seed_vertex=st.integers(0, 3), beta=st.sampled_from(["0.2", "0.5", "1"]))
+def test_cli_never_ends_in_a_traceback_on_a_graph_file(data, seed_vertex, beta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edgelist"
+        path.write_bytes(data)
+        argv = ["cluster-bipartite", "-g", str(path), "--seed-vertex", str(seed_vertex)]
+        # a large teleport probability keeps each push short on these tiny graphs
+        argv += ["--gamma", "4", "--beta", beta, "--alpha", "0.3", "--json"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert re.search(re.escape(str(path)) + r":\d+: ", err.getvalue())
 
 
 def brute_force_sweep(g: Graph, p: dict, beta_target: float, best: bool):
