@@ -73,9 +73,13 @@ def _bulk_edges(path):
     open a `.gz` path as gzip and fetch a URL, which the line parser never
     does. It accepts fewer spellings than `int` (no `1_0`, no non-ASCII
     digits, nothing outside int64); those files fall back to the line parser.
+    numpy releases that still parse an integer field via a float (`1.5` as 1)
+    only warn about it; that warning is raised as an error, which numpy turns
+    into a ValueError, so a float-spelled id falls back too.
     """
     with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         for fields in (_EDGE_FIELDS, _EDGE_FIELDS[:2]):
             handle.seek(0)
             try:

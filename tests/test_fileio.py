@@ -105,6 +105,18 @@ class TestBulkParse:
         with pytest.raises(ParseError, match=f"g.edgelist:{line}: "):
             load_edge_list(f)
 
+    # Outside pytest, Python ignores DeprecationWarning, so a numpy that parses
+    # an integer via a float would only warn and truncate the id.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("text", ["0 1.5\n", "1.0 2\n", "0 1e18\n", "0 1 1\n1e3 2 1\n"])
+    def test_float_spelled_ids_are_named_by_the_line_parser(self, tmp_path, text):
+        f = tmp_path / "g.edgelist"
+        f.write_text(text)
+        assert fileio._bulk_edges(f) is None
+        line = text.count("\n")
+        with pytest.raises(ParseError, match=f"g.edgelist:{line}: invalid literal for int"):
+            load_edge_list(f)
+
     def test_gzip_suffix_is_read_as_text(self, tmp_path):
         # numpy opens a `.gz` path as gzip; the loader must read it as text
         f = tmp_path / "g.edgelist.gz"

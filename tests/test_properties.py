@@ -148,7 +148,7 @@ def test_edge_list_round_trip(g):
 # and the graph allocates O(n), which no test should do for a large id.
 _PLAIN_IDS = st.integers(0, 12).map(str)
 _ODD_IDS = st.sampled_from(
-    ["+5", "-1", "-7", "-0", "007", "1_0", "1.0", "0x10", "\u0663", str(2**63), str(-(2**63) - 1)]
+    ["+5", "-1", "-7", "-0", "007", "1_0", "1.0", "0x10", "1.5", "1e3", "\u0663", str(2**63), str(-(2**63) - 1)]
 )
 _PLAIN_WEIGHTS = st.one_of(
     st.floats(1e-3, 1e3).map(repr),
