@@ -24,6 +24,7 @@ from .fileio import (
     load_flow_matrix,
     load_labels,
     load_names,
+    read_text,
     write_edge_list,
     write_labels,
 )
@@ -139,8 +140,10 @@ def _cmd_cluster_directed(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.output, "r", encoding="utf-8") as handle:
-        result = json.load(handle)
+    try:
+        result = json.loads(read_text(args.output))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{args.output}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(result, dict):
         raise ParseError(f"{args.output}: a result must be a JSON object")
     labels = load_labels(args.labels)

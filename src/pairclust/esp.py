@@ -9,23 +9,30 @@ step only touches the current set and its boundary. The walk law reads the
 incremental neighbor masses. A sample returns only its final set; sets are
 measured (by `cover_cut_and_volume`, through the reduction to (L, R)) only by
 the cleanup-bound check.
+
+The superlevel set and the neighbor-mass update of a step have two forms with
+the same law: a loop over the tracked dict, which is the reference and runs on
+small sets, and a numpy form for large ones, which reads the dict into arrays,
+compares Q against the threshold in one pass and applies the changed keys'
+rows as signed sums. Both draw nothing from the rng, so the walker moves and
+the rng stream are the same whichever form runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .cover import (
     cover_cut_and_volume,
     cover_degree,
-    cover_neighbors,
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, flow_ratio
+from .graph import Graph, flow_ratio, row_positions
 
 __all__ = [
     "EspState",
@@ -38,6 +45,17 @@ __all__ = [
 
 # Neighbor-mass residues below this are treated as exact zeros when pruning.
 _MASS_EPS = 1e-12
+
+# Steps 3-4 take the numpy form once this many keys are tracked (members plus
+# boundary). On the table2 digraph the numpy form wins from about 64 keys on;
+# at 128 its per-key int64/float64 arrays are at least 1 KiB, so numpy's cache
+# of freed small buffers (up to 7 per byte size under 1 KiB) does not pin
+# memory for every set size the process passes through.
+_VECTOR_MIN_KEYS = 128
+
+# Changed keys whose cover rows the numpy form gathers at once. Bounds the
+# step's temporaries, which otherwise grow with the changed volume.
+_GATHER_CHUNK = 256
 
 
 class EspState:
@@ -88,9 +106,9 @@ class EspState:
         nbr_mass = {key: 0.0 for key in members}
         vol = 0.0
         for key in members:
-            vol += cover_degree(g, key)
-            nbr_keys, ws = cover_neighbors(g, key)
-            for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
+            nbr_keys, ws, deg = _cover_row(g, key)
+            vol += deg
+            for nb, w in zip(nbr_keys, ws):
                 nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
         return cls(g, members, walker, nbr_mass, vol)
 
@@ -106,35 +124,73 @@ class EspState:
         return 0.5 * inside + 0.5 * self.nbr_mass.get(key, 0.0) / deg
 
 
+def _cover_row(g: Graph, key: int):
+    """(neighbor keys, weights, degree) of a cover key known to be in range, as Python values.
+
+    Reads the CSR slices directly: `cover_neighbors` re-checks the key and
+    allocates the neighbor-key array, which costs more than the row itself on
+    the small sets the dict form handles.
+    """
+    base = key >> 1
+    if key & 1:
+        lo, hi = g.in_indptr[base : base + 2].tolist()
+        nbr_keys = [2 * v for v in g.in_indices[lo:hi].tolist()]
+        return nbr_keys, g.in_weights[lo:hi].tolist(), float(g.in_degrees[base])
+    lo, hi = g.indptr[base : base + 2].tolist()
+    nbr_keys = [2 * v + 1 for v in g.indices[lo:hi].tolist()]
+    return nbr_keys, g.weights[lo:hi].tolist(), float(g.degrees[base])
+
+
 def esp_step(state: EspState, rng) -> EspState:
     """Advance the coupled process one step, in place.
 
     Work per step is proportional to the volume of the current set plus its
-    boundary, independent of the graph size.
+    boundary, independent of the graph size. Steps 3-4 (the superlevel set and
+    the neighbor-mass update) have two forms with the same law and the same
+    rng draws: a dict loop, which is the reference and runs while fewer than
+    `_VECTOR_MIN_KEYS` keys are tracked, and a numpy form for larger sets.
+    Both give the same set from the same state. With integer weights they
+    give identical states; with other weights the neighbor masses and the
+    volume may differ in the last bits, because they sum in another order.
     """
     g = state.graph
-    members = state.members
-    nbr_mass = state.nbr_mass
 
     # 1. lazy walk step for the coupled walker
     x = state.walker
     if rng.random() >= 0.5:
-        deg = cover_degree(g, x)
+        nbr_keys, ws, deg = _cover_row(g, x)
         if deg > 0:
-            nbr_keys, ws = cover_neighbors(g, x)
             cum = np.cumsum(ws)
-            x = int(nbr_keys[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))])
+            x = nbr_keys[int(cum.searchsorted(rng.random() * cum[-1], side="right"))]
 
     # 2. threshold drawn from (0, Q(X', S)], so the walker always survives
     qx = state._q(x)
     u = qx * (1.0 - rng.random())
 
+    # 3-4. superlevel set of Q at the threshold, then the neighbor masses and volume
+    if len(state.nbr_mass) >= _VECTOR_MIN_KEYS:
+        _update_vector(state, u)
+    else:
+        _update_dict(state, u)
+
+    state.walker = x
+    if x not in state.members:
+        raise RuntimeError("coupling invariant violated: walker left the evolving set")
+    return state
+
+
+def _update_dict(state: EspState, u: float):
+    """Steps 3-4 as a loop over the tracked keys; the reference form."""
+    g = state.graph
+    members = state.members
+    nbr_mass = state.nbr_mass
+
     # 3. superlevel set of Q at the threshold
-    in_deg = g.in_degrees
-    out_deg = g.degrees
+    in_deg = g.in_degrees.item
+    out_deg = g.degrees.item
     new_members = set()
     for key, mass in nbr_mass.items():
-        deg = in_deg[key >> 1] if key & 1 else out_deg[key >> 1]
+        deg = in_deg(key >> 1) if key & 1 else out_deg(key >> 1)
         if deg <= 0:
             q = 1.0 if key in members else 0.0
         else:
@@ -146,14 +202,14 @@ def esp_step(state: EspState, rng) -> EspState:
     added = new_members - members
     removed = members - new_members
     for key in added:
-        state.vol += cover_degree(g, key)
-        nbr_keys, ws = cover_neighbors(g, key)
-        for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
+        nbr_keys, ws, deg = _cover_row(g, key)
+        state.vol += deg
+        for nb, w in zip(nbr_keys, ws):
             nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
     for key in removed:
-        state.vol -= cover_degree(g, key)
-        nbr_keys, ws = cover_neighbors(g, key)
-        for nb, w in zip(nbr_keys.tolist(), ws.tolist()):
+        nbr_keys, ws, deg = _cover_row(g, key)
+        state.vol -= deg
+        for nb, w in zip(nbr_keys, ws):
             nbr_mass[nb] -= w
     if removed:
         stale = [
@@ -163,12 +219,100 @@ def esp_step(state: EspState, rng) -> EspState:
         ]
         for key in stale:
             del nbr_mass[key]
-
     state.members = new_members
-    state.walker = x
-    if x not in new_members:
-        raise RuntimeError("coupling invariant violated: walker left the evolving set")
-    return state
+
+
+def _update_vector(state: EspState, u: float):
+    """Steps 3-4 on arrays read out of the tracked keys; same law as `_update_dict`.
+
+    Q comes from one cover-degree gather, and one comparison gives each key a
+    sign: +1 joins the set, -1 leaves it, 0 stays. A step that changes no
+    member ends there. The changed keys' cover rows are gathered
+    `_GATHER_CHUNK` keys at a time, signed and summed per neighbor, and the
+    sums go back into the dict. Q is computed with the reference's floating
+    point operations (the one swapped addition commutes exactly), so both
+    forms pick the same set. Outside the zero-degree case no array is bool:
+    a bool array of fewer than 1024 keys would land in numpy's cache of
+    small buffers (see `_VECTOR_MIN_KEYS`).
+    """
+    g = state.graph
+    members = state.members
+    nbr_mass = state.nbr_mass
+    size = len(nbr_mass)
+
+    # 3. superlevel set of Q at the threshold
+    keys = np.fromiter(nbr_mass, np.int64, size)
+    mass = np.fromiter(nbr_mass.values(), np.float64, size)
+    inside = np.fromiter(map(members.__contains__, nbr_mass), np.float64, size)
+    deg = _cover_degrees(g, keys)
+    if deg.min() > 0:
+        sign = 0.5 * mass
+        sign /= deg
+        sign += 0.5 * inside
+    else:  # a zero-degree key (only a start set holds one) has Q = 1 inside, 0 outside
+        positive = deg > 0
+        sign = np.where(positive, 0.5 * inside + 0.5 * mass / np.where(positive, deg, 1.0), inside)
+    np.greater_equal(sign, u, out=sign)
+    sign -= inside
+    changed = np.flatnonzero(sign)
+    if not changed.size:
+        return
+    changed_keys = keys[changed]
+    signs = sign[changed]
+    removed = []
+    for key, s in zip(changed_keys.tolist(), signs.tolist()):
+        if s > 0:
+            members.add(key)
+        else:
+            members.discard(key)
+            removed.append(key)
+
+    # 4. signed gather of the changed keys' rows, summed per neighbor
+    state.vol += float(deg[changed] @ signs)
+    # candidates for the dict form's prune: keys that leave, keys the sums
+    # below bring to zero, and (only with tiny weights) untouched zero masses
+    near_zero = list(removed)
+    if removed and mass.min() <= _MASS_EPS:
+        near_zero.extend(keys[mass <= _MASS_EPS].tolist())
+    for start in range(0, changed.size, _GATHER_CHUNK):
+        chunk = slice(start, start + _GATHER_CHUNK)
+        nbrs, ws = _signed_cover_rows(g, changed_keys[chunk], signs[chunk])
+        touched, at = np.unique(nbrs, return_inverse=True)
+        touched = touched.tolist()
+        sums = np.fromiter(map(nbr_mass.get, touched, repeat(0.0)), np.float64, len(touched))
+        sums += np.bincount(at, weights=ws, minlength=len(touched))
+        nbr_mass.update(zip(touched, sums.tolist()))
+        if removed:
+            near_zero.extend(np.compress(np.abs(sums) <= _MASS_EPS, touched).tolist())
+    for key in set(near_zero):
+        if key not in members and abs(nbr_mass[key]) <= _MASS_EPS:
+            del nbr_mass[key]
+
+
+def _cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:
+    """Cover degrees of in-range keys: out-degree on side 1, in-degree on side 2."""
+    bases = keys >> 1
+    return np.where(keys & 1, g.in_degrees[bases], g.degrees[bases])
+
+
+def _signed_cover_rows(g: Graph, keys: np.ndarray, signs: np.ndarray):
+    """Neighbor keys of `keys` in the cover, each with its edge weight times its key's sign.
+
+    Side-1 keys read their out-rows (neighbors on side 2), side-2 keys their
+    in-rows (neighbors on side 1).
+    """
+    odd = keys & 1
+    side1, side2 = np.flatnonzero(odd ^ 1), np.flatnonzero(odd)
+    out_pos, out_counts = row_positions(g.indptr, keys[side1] >> 1)
+    in_pos, in_counts = row_positions(g.in_indptr, keys[side2] >> 1)
+    nbrs = np.concatenate((2 * g.indices[out_pos] + 1, 2 * g.in_indices[in_pos]))
+    ws = np.concatenate(
+        (
+            g.weights[out_pos] * np.repeat(signs[side1], out_counts),
+            g.in_weights[in_pos] * np.repeat(signs[side2], in_counts),
+        )
+    )
+    return nbrs, ws
 
 
 def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
@@ -269,7 +413,7 @@ def evo_cut_directed(
 
 def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
-    s = set(generate_sample(g, seed_key, t, rng))
+    s = generate_sample(g, seed_key, t, rng)
     s_simple = epsilon_simple_cleanup(s)
     if not s_simple:
         return None

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 __all__ = [
     "ParseError",
@@ -39,12 +39,45 @@ def _int64(token: str) -> int:
     return value
 
 
+def _check_ids(path, lineno: int, *ids: int):
+    """Refuse negative ids and ids too large for a Graph, naming the line."""
+    if min(ids) < 0:
+        raise ParseError(f"{path}:{lineno}: negative vertex id")
+    if max(ids) >= MAX_VERTICES:
+        raise ParseError(
+            f"{path}:{lineno}: vertex id {max(ids)} too large (ids must be below {MAX_VERTICES})"
+        )
+
+
+def _not_utf8(path) -> ParseError:
+    """A ParseError naming the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
+    return ParseError(f"{path}: not valid UTF-8")
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; a ParseError names the first line that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _data_lines(path):
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
@@ -72,7 +105,8 @@ def _bulk_edges(path):
     numpy reads from an open handle rather than the path, because it would
     open a `.gz` path as gzip and fetch a URL, which the line parser never
     does. It accepts fewer spellings than `int` (no `1_0`, no non-ASCII
-    digits, nothing outside int64); those files fall back to the line parser.
+    digits, nothing outside int64), and ids too large for a Graph; those files
+    fall back to the line parser. A file that is not UTF-8 is refused here.
     numpy releases that still parse an integer field via a float (`1.5` as 1)
     only warn about it; that warning is raised as an error, which numpy turns
     into a ValueError, so a float-spelled id falls back too.
@@ -85,13 +119,16 @@ def _bulk_edges(path):
             try:
                 rows = np.loadtxt(handle, dtype=fields, comments="#", ndmin=1)
                 break
+            except UnicodeDecodeError:
+                raise _not_utf8(path) from None
             except ValueError:
                 continue
         else:
             return None
     us, vs = rows["u"], rows["v"]
     ws = rows["w"] if len(rows.dtype.names) == 3 else np.ones(rows.size)
-    valid = (us >= 0) & (vs >= 0) & (us != vs) & (ws > 0) & (ws < np.inf)
+    valid = (us >= 0) & (vs >= 0) & (us < MAX_VERTICES) & (vs < MAX_VERTICES)
+    valid &= (us != vs) & (ws > 0) & (ws < np.inf)
     return (us, vs, ws) if valid.all() else None
 
 
@@ -108,8 +145,7 @@ def _line_edges(path):
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if u < 0 or v < 0:
-            raise ParseError(f"{path}:{lineno}: negative vertex id")
+        _check_ids(path, lineno, u, v)
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop at vertex {u}")
         if not 0 < w < math.inf:
@@ -160,8 +196,7 @@ def load_flow_matrix(path) -> Graph:
             c = float(parts[2])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if j < 0 or l < 0:
-            raise ParseError(f"{path}:{lineno}: negative vertex id")
+        _check_ids(path, lineno, j, l)
         if not 0 <= c < math.inf:
             raise ParseError(f"{path}:{lineno}: count must be finite and >= 0, got {c}")
         counts[(j, l)] = counts.get((j, l), 0.0) + c

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -14,6 +15,10 @@ __all__ = [
     "flow_ratio",
     "cut_imbalance",
 ]
+
+
+# Edges are keyed as u*n + v in int64, so n*n must fit: at most 3037000499 vertices.
+MAX_VERTICES = math.isqrt(int(np.iinfo(np.int64).max))
 
 
 def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
@@ -120,6 +125,8 @@ class Graph:
     def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, directed: bool):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} above {MAX_VERTICES}: edge keys overflow int64")
         if not (u.size == v.size == w.size):
             raise ValueError("endpoint and weight arrays must have equal length")
         if u.size:

@@ -425,6 +425,54 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:2: 9223372036854775808 does not fit in int64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("0 1\n1 9223372036854775807\n", ["cluster-bipartite", "--gamma", "10", "--beta", "0.5"]),
+            ("0,1,3\n9223372036854775807,2,1\n", ["cluster-directed", "--format", "flow", "--phi", "0.5"]),
+        ],
+    )
+    def test_id_too_large_for_a_graph_is_two(self, tmp_path, capsys, text, argv):
+        # inside int64, but n*n would overflow the int64 edge keys
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(argv + ["-g", str(bad), "--seed-vertex", "0"])
+        assert code == 2
+        assert f"{bad}:2: vertex id 9223372036854775807 too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            (b"0 1\n\xff 2\n", ["cluster-bipartite", "--gamma", "10", "--beta", "0.5"]),
+            (b"0,1,3\n\xff,2,1\n", ["cluster-directed", "--format", "flow", "--phi", "0.5"]),
+        ],
+    )
+    def test_graph_file_not_utf8_is_two(self, tmp_path, capsys, data, argv):
+        # UnicodeDecodeError is a ValueError, which used to end in exit 3 naming no file
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        code = main(argv + ["-g", str(bad), "--seed-vertex", "0"])
+        assert code == 2
+        assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_result_json_syntax_error_names_the_file(self, tmp_path, capsys):
+        result_path = tmp_path / "r.json"
+        result_path.write_text('{"l": [0],\n "r": [1],')
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 1\n")
+        code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
+        assert code == 2
+        assert f"{result_path}:2: Expecting property name" in capsys.readouterr().err
+
+    def test_result_json_not_utf8_is_two(self, tmp_path, capsys):
+        result_path = tmp_path / "r.json"
+        result_path.write_bytes(b'{"l": [0],\n "r": [1], "found": true, "name": "\xff"}')
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 1\n")
+        code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
+        assert code == 2
+        assert f"{result_path}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_invalid_params_is_three(self, tmp_path):
         path = bipartite_island(tmp_path)
         code = main(

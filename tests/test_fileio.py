@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,65 @@ class TestInt64Range:
         f.write_text(f"0 {2**63 - 1}\n1 {-(2**63)}\n")
         assert load_labels(f).tolist() == [2**63 - 1, -(2**63)]
 
+
+
+class TestVertexCountLimit:
+    # one past the largest id a Graph can key as u*n + v in int64
+    TOO_LARGE = "3037000499"
+
+    @pytest.mark.parametrize("line", [f"1 {2**63 - 1}", f"{TOO_LARGE} 1", f"1 {TOO_LARGE} 2.5"])
+    def test_edge_list_id(self, tmp_path, line):
+        f = tmp_path / "g.edgelist"
+        f.write_text(f"0 1\n{line}\n")
+        assert fileio._bulk_edges(f) is None
+        with pytest.raises(ParseError, match=r":2: vertex id \d+ too large"):
+            load_edge_list(f)
+
+    def test_flow_matrix_id(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text(f"0,1,3\n{2**63 - 1},1,1\n")
+        with pytest.raises(ParseError, match=f":2: vertex id {2**63 - 1} too large"):
+            load_flow_matrix(f)
+
+    def test_largest_allowed_id_passes_the_parse(self):
+        assert fileio._check_ids("g", 1, 0, int(self.TOO_LARGE) - 1) is None
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "data", [b"0 1\n\xff 2\n", b"0 1 2.0\n1 2\xfe\n", b"0 1\n1 2 1.0\n\xc3\n"]
+    )
+    def test_edge_list(self, tmp_path, data):
+        # the second file fails the bulk parse on its shape; both parsers name the line
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(data)
+        lineno = data.count(b"\n")
+        with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
+            fileio._bulk_edges(f)
+        with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
+            fileio._line_edges(f)
+        with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
+            load_edge_list(f)
+
+    @pytest.mark.parametrize(
+        "loader, data",
+        [
+            (load_flow_matrix, b"0,1,3\n1,\xff,2\n"),
+            (load_labels, b"0 0\n1 \xfe\n"),
+            (load_names, b"0 north\n1 e\xe9st\n"),
+        ],
+    )
+    def test_sidecars_and_flow_matrix(self, tmp_path, loader, data):
+        f = tmp_path / "input.txt"
+        f.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(f"{f}:2: not valid UTF-8")):
+            loader(f)
+
+    def test_error_past_the_first_read_chunk_names_its_line(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(b"0 1\n" * 5000 + b"1 \x80\n")
+        with pytest.raises(ParseError, match=re.escape(f"{f}:5001: not valid UTF-8")):
+            load_edge_list(f)
 
 class TestWriteEdgeList:
     @pytest.mark.parametrize("directed", [False, True])

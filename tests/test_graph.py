@@ -41,6 +41,13 @@ class TestConstruction:
         assert g.out_degree(0) == 3.0
         assert g.in_degree(0) == 5.0
 
+    def test_rejects_vertex_count_whose_square_overflows_int64(self):
+        # edges are keyed u*n + v in int64; the check comes before any O(n) array
+        with pytest.raises(ValueError, match="vertex count 3037000500 above 3037000499"):
+            Graph.from_arrays(3037000500, [0], [1])
+        with pytest.raises(ValueError, match="overflow int64"):
+            Graph(2**63, [(0, 1)], directed=True)
+
     def test_isolated_vertices_allowed(self):
         g = Graph(5, [(0, 1)])
         assert g.degree(4) == 0.0

@@ -1,6 +1,6 @@
 """Property tests on random small weighted graphs: round push, sweep cut, cover scan,
-the edge-list round trip, the bulk edge-list parse and the CLI's exit codes on
-arbitrary graph files."""
+the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
+parse, the flow-matrix loader and the CLI's exit codes on arbitrary graph files."""
 
 import contextlib
 import io
@@ -16,19 +16,23 @@ from hypothesis import strategies as st
 
 from pairclust import (
     AprState,
+    EspState,
     Graph,
     ParseError,
     bipartiteness,
+    esp,
+    esp_step,
     exact_pagerank,
     fileio,
     graph_fingerprint,
     load_edge_list,
+    load_flow_matrix,
     sweep_cut,
     to_cluster_pair,
     write_edge_list,
 )
 from pairclust.cli import main
-from pairclust.cover import cover_cut_and_volume, total_cover_volume
+from pairclust.cover import cover_cut_and_volume, cover_degree, total_cover_volume
 from helpers import dense_cover_cut_and_volume
 
 SETTINGS = settings(
@@ -144,11 +148,126 @@ def test_edge_list_round_trip(g):
     assert np.array_equal(h.weights, g.weights)
 
 
-# Ids stay small or leave int64 altogether: an id inside int64 makes n = id + 1
+@st.composite
+def esp_starts(draw):
+    """A digraph of up to 142 vertices, a start state, a step count, an rng seed
+    and the number of changed keys the vector form gathers at once.
+
+    Weights are small integers (every mass and volume exact) or floats. Up to
+    two vertices have no arcs, so their cover keys have degree 0; a start set
+    may hold them. Starts are a single key, which grows, or a random set of
+    up to the whole cover, which shrinks and prunes. On graphs of more than
+    64 vertices the tracked set can cross the dispatch threshold (128 keys).
+    Gathering a few keys at a time puts many chunk boundaries in one step.
+    """
+    integer = draw(st.booleans())
+    n = draw(st.one_of(st.integers(2, 16), st.integers(48, 140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.floats(0.02, 0.3))
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    u, v = np.nonzero(mask)
+    if not u.size:
+        u, v = np.array([0]), np.array([1])
+    w = rng.integers(1, 4, u.size).astype(float) if integer else rng.uniform(0.2, 3.0, u.size)
+    g = Graph.from_arrays(n + draw(st.integers(0, 2)), u, v, w, directed=True)
+    live = [key for key in range(2 * g.n) if cover_degree(g, key) > 0]
+    start = draw(st.sampled_from(["seed", "set", "share"]))
+    if start == "seed":
+        state = EspState.from_seed(g, draw(st.sampled_from(live)))
+    else:
+        if start == "set":
+            keys = draw(st.sets(st.integers(0, 2 * g.n - 1), max_size=2 * g.n))
+        else:  # a random share of the whole cover, zero-degree keys included
+            keys = set(np.flatnonzero(rng.random(2 * g.n) < draw(st.floats(0.1, 1.0))).tolist())
+        keys.add(draw(st.sampled_from(live)))
+        state = EspState.from_set(g, keys, rng)
+    chunk = draw(st.sampled_from([1, 3, 8, esp._GATHER_CHUNK]))
+    return state, integer, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1)), chunk
+
+
+def _step_with(state, seed, min_keys, chunk):
+    """One esp_step on a copy of `state`, forced to one form by the dispatch threshold."""
+    copy = state.clone()
+    with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=min_keys, _GATHER_CHUNK=chunk):
+        esp_step(copy, np.random.default_rng(seed))
+    return copy
+
+
+@settings(SETTINGS, max_examples=150)
+@given(start=esp_starts())
+def test_esp_step_forms_agree(start):
+    state, integer, steps, seed, chunk = start
+    for step in range(steps):
+        by_dict = _step_with(state, [seed, step], 2**62, chunk)
+        by_vector = _step_with(state, [seed, step], 0, chunk)
+        assert by_vector.walker == by_dict.walker
+        assert by_vector.members == by_dict.members
+        assert by_vector.nbr_mass.keys() == by_dict.nbr_mass.keys()
+        if integer:
+            assert by_vector.nbr_mass == by_dict.nbr_mass
+            assert by_vector.vol == by_dict.vol
+        else:
+            for key, mass in by_dict.nbr_mass.items():
+                assert math.isclose(by_vector.nbr_mass[key], mass, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(by_vector.vol, by_dict.vol, rel_tol=1e-12)
+        state = by_dict
+
+
+def _dense_flow_graph(n, rows):
+    """The flow digraph by definition: dense count matrix, one arc per unbalanced pair."""
+    m = np.zeros((n, n))
+    for j, l, c in rows:
+        m[j, l] += c
+    weights = np.zeros((n, n))
+    for j in range(n):
+        for l in range(n):
+            fwd, bwd = m[j, l], m[l, j]
+            if j != l and fwd > bwd:
+                weights[j, l] = (fwd - bwd) / (fwd + bwd)
+    return weights
+
+
+@SETTINGS
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 5)), min_size=1, max_size=30
+    ),
+    balanced=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 5))),
+    data=st.data(),
+)
+def test_flow_matrix_matches_dense_reference(rows, balanced, data):
+    # balanced pairs carry the same count both ways; self rows and zero counts add no arc;
+    # repeated rows accumulate, and the row order must not matter
+    rows = rows + [(l, j, c) for j, l, c in balanced] + [(j, l, c) for j, l, c in balanced]
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=5))
+    rows = data.draw(st.permutations(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        path.write_text("".join(f"{j},{l},{c}\n" for j, l, c in rows))
+        g = load_flow_matrix(path)
+    n = 1 + max(max(j, l) for j, l, _ in rows)
+    assert g.directed and g.n == n
+    got = np.zeros((n, n))
+    for j in range(n):
+        ids, ws = g.neighbors(j)
+        got[j, ids] = ws
+    want = _dense_flow_graph(n, rows)
+    # integer counts keep every sum exact, so the weights match to the bit
+    assert np.array_equal(got, want)
+    assert g.edge_count == int(np.count_nonzero(want))
+
+
+# Ids stay small, or are too large for a Graph (its edge keys u*n + v would
+# overflow int64), or leave int64 altogether. An id in between makes n = id + 1
 # and the graph allocates O(n), which no test should do for a large id.
 _PLAIN_IDS = st.integers(0, 12).map(str)
-_ODD_IDS = st.sampled_from(
-    ["+5", "-1", "-7", "-0", "007", "1_0", "1.0", "0x10", "1.5", "1e3", "\u0663", str(2**63), str(-(2**63) - 1)]
+_ODD_IDS = st.one_of(
+    st.sampled_from(
+        ["+5", "-1", "-7", "-0", "007", "1_0", "1.0", "0x10", "1.5", "1e3", "\u0663"]
+        + [str(2**63), str(-(2**63) - 1), str(2**63 - 1), "3037000499"]
+    ),
+    st.integers(3037000499, 2**63 - 1).map(str),
 )
 _PLAIN_WEIGHTS = st.one_of(
     st.floats(1e-3, 1e3).map(repr),
