@@ -11,7 +11,7 @@ from .bench import run_table1, run_table2
 from .cover import (
     conductance_in_cover,
     cover_degree,
-    cover_neighbors,
+    cover_rows,
     cover_vertex,
     epsilon_simple_cleanup,
     pair_to_cover_set,

@@ -15,6 +15,12 @@ side-1 copies and R those of its side-2 copies, the cover edges inside S are
 exactly the base edges from L to R, so vol(S) = vol_out(L) + vol_in(R) and
 cut(S) = vol(S) - 2 e(L->R), even when S holds both copies of a vertex.
 `cover_cut_and_volume` measures every cover set this way.
+
+Read forwards, the lift is written once: `cover_rows` gathers the cover rows
+of a key array (side-1 keys read their base out-row, side-2 keys their base
+in-row) and `cover_degrees` their degrees. Push, the sweep and the numpy
+evolving-set step read the cover through these two; `cover_row` is the same
+read for one key, as Python values, for the evolving-set dict loop and walker.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, row_positions
 
 __all__ = [
     "cover_vertex",
     "cover_degree",
-    "cover_neighbors",
+    "cover_row",
+    "cover_rows",
+    "cover_degrees",
     "total_cover_volume",
     "cover_cut_and_volume",
     "conductance_in_cover",
@@ -63,20 +71,48 @@ def cover_degree(g: Graph, key: int) -> float:
     return float(g.degrees[base])
 
 
-def cover_neighbors(g: Graph, key: int):
-    """Neighbors of a cover vertex in the cover, as (keys, weights) arrays.
+def cover_row(g: Graph, key: int):
+    """(neighbor keys, weights, degree) of a cover key known to be in range, as Python values.
 
-    Neighbors always live on the opposite side: side-1 copies are adjacent to
-    the side-2 copies of the base vertex's (out-)neighbors, and side-2 copies
-    to the side-1 copies of its (in-)neighbors.
+    Reads the CSR slices directly, with no range check and no array of
+    neighbor keys: on the small sets the evolving-set dict loop handles,
+    those would cost more than the row itself.
     """
-    _check_cover_vertex(g, key)
     base = key >> 1
     if key & 1:
-        ids, ws = g.in_neighbors(base)
-        return 2 * ids, ws
-    ids, ws = g.neighbors(base)
-    return 2 * ids + 1, ws
+        lo, hi = g.in_indptr[base : base + 2].tolist()
+        nbr_keys = [2 * v for v in g.in_indices[lo:hi].tolist()]
+        return nbr_keys, g.in_weights[lo:hi].tolist(), float(g.in_degrees[base])
+    lo, hi = g.indptr[base : base + 2].tolist()
+    nbr_keys = [2 * v + 1 for v in g.indices[lo:hi].tolist()]
+    return nbr_keys, g.weights[lo:hi].tolist(), float(g.degrees[base])
+
+
+def cover_rows(g: Graph, keys: np.ndarray):
+    """Cover rows of an int64 array of in-range keys, as (nbr_keys, weights, owner).
+
+    Neighbors always live on the opposite side: a side-1 key reads its base
+    vertex's out-row and reaches side-2 copies, a side-2 key its in-row (the
+    same row when g is undirected) and reaches side-1 copies. All side-1 rows
+    come first, then all side-2 rows, each block in the order of `keys`;
+    `owner[i]` is the position in `keys` of the key whose row holds entry i.
+    """
+    odd = keys & 1
+    side1, side2 = np.flatnonzero(odd ^ 1), np.flatnonzero(odd)
+    out_pos, out_counts = row_positions(g.indptr, keys[side1] >> 1)
+    in_pos, in_counts = row_positions(g.in_indptr, keys[side2] >> 1)
+    nbr_keys = np.concatenate((g.indices[out_pos], g.in_indices[in_pos]))
+    nbr_keys *= 2
+    nbr_keys[: out_pos.size] += 1
+    weights = np.concatenate((g.weights[out_pos], g.in_weights[in_pos]))
+    owner = np.repeat(np.concatenate((side1, side2)), np.concatenate((out_counts, in_counts)))
+    return nbr_keys, weights, owner
+
+
+def cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:
+    """Cover degrees of in-range keys: out-degree on side 1, in-degree on side 2."""
+    bases = keys >> 1
+    return np.where(keys & 1, g.in_degrees[bases], g.degrees[bases])
 
 
 def total_cover_volume(g: Graph) -> float:

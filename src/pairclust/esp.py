@@ -21,18 +21,23 @@ the rng stream are the same whichever form runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .cover import (
     cover_cut_and_volume,
     cover_degree,
+    cover_degrees,
+    cover_row,
+    cover_rows,
+    cover_vertex,
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, flow_ratio, row_positions
+from .graph import Graph, flow_ratio
 
 __all__ = [
     "EspState",
@@ -106,7 +111,7 @@ class EspState:
         nbr_mass = {key: 0.0 for key in members}
         vol = 0.0
         for key in members:
-            nbr_keys, ws, deg = _cover_row(g, key)
+            nbr_keys, ws, deg = cover_row(g, key)
             vol += deg
             for nb, w in zip(nbr_keys, ws):
                 nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
@@ -122,23 +127,6 @@ class EspState:
         if deg <= 0:
             return inside
         return 0.5 * inside + 0.5 * self.nbr_mass.get(key, 0.0) / deg
-
-
-def _cover_row(g: Graph, key: int):
-    """(neighbor keys, weights, degree) of a cover key known to be in range, as Python values.
-
-    Reads the CSR slices directly: `cover_neighbors` re-checks the key and
-    allocates the neighbor-key array, which costs more than the row itself on
-    the small sets the dict form handles.
-    """
-    base = key >> 1
-    if key & 1:
-        lo, hi = g.in_indptr[base : base + 2].tolist()
-        nbr_keys = [2 * v for v in g.in_indices[lo:hi].tolist()]
-        return nbr_keys, g.in_weights[lo:hi].tolist(), float(g.in_degrees[base])
-    lo, hi = g.indptr[base : base + 2].tolist()
-    nbr_keys = [2 * v + 1 for v in g.indices[lo:hi].tolist()]
-    return nbr_keys, g.weights[lo:hi].tolist(), float(g.degrees[base])
 
 
 def esp_step(state: EspState, rng) -> EspState:
@@ -158,10 +146,10 @@ def esp_step(state: EspState, rng) -> EspState:
     # 1. lazy walk step for the coupled walker
     x = state.walker
     if rng.random() >= 0.5:
-        nbr_keys, ws, deg = _cover_row(g, x)
+        nbr_keys, ws, deg = cover_row(g, x)
         if deg > 0:
-            cum = np.cumsum(ws)
-            x = nbr_keys[int(cum.searchsorted(rng.random() * cum[-1], side="right"))]
+            cum = list(accumulate(ws))
+            x = nbr_keys[bisect_right(cum, rng.random() * cum[-1])]
 
     # 2. threshold drawn from (0, Q(X', S)], so the walker always survives
     qx = state._q(x)
@@ -202,12 +190,12 @@ def _update_dict(state: EspState, u: float):
     added = new_members - members
     removed = members - new_members
     for key in added:
-        nbr_keys, ws, deg = _cover_row(g, key)
+        nbr_keys, ws, deg = cover_row(g, key)
         state.vol += deg
         for nb, w in zip(nbr_keys, ws):
             nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
     for key in removed:
-        nbr_keys, ws, deg = _cover_row(g, key)
+        nbr_keys, ws, deg = cover_row(g, key)
         state.vol -= deg
         for nb, w in zip(nbr_keys, ws):
             nbr_mass[nb] -= w
@@ -244,7 +232,7 @@ def _update_vector(state: EspState, u: float):
     keys = np.fromiter(nbr_mass, np.int64, size)
     mass = np.fromiter(nbr_mass.values(), np.float64, size)
     inside = np.fromiter(map(members.__contains__, nbr_mass), np.float64, size)
-    deg = _cover_degrees(g, keys)
+    deg = cover_degrees(g, keys)
     if deg.min() > 0:
         sign = 0.5 * mass
         sign /= deg
@@ -276,7 +264,8 @@ def _update_vector(state: EspState, u: float):
         near_zero.extend(keys[mass <= _MASS_EPS].tolist())
     for start in range(0, changed.size, _GATHER_CHUNK):
         chunk = slice(start, start + _GATHER_CHUNK)
-        nbrs, ws = _signed_cover_rows(g, changed_keys[chunk], signs[chunk])
+        nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
+        ws *= signs[chunk][owner]
         touched, at = np.unique(nbrs, return_inverse=True)
         touched = touched.tolist()
         sums = np.fromiter(map(nbr_mass.get, touched, repeat(0.0)), np.float64, len(touched))
@@ -287,32 +276,6 @@ def _update_vector(state: EspState, u: float):
     for key in set(near_zero):
         if key not in members and abs(nbr_mass[key]) <= _MASS_EPS:
             del nbr_mass[key]
-
-
-def _cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:
-    """Cover degrees of in-range keys: out-degree on side 1, in-degree on side 2."""
-    bases = keys >> 1
-    return np.where(keys & 1, g.in_degrees[bases], g.degrees[bases])
-
-
-def _signed_cover_rows(g: Graph, keys: np.ndarray, signs: np.ndarray):
-    """Neighbor keys of `keys` in the cover, each with its edge weight times its key's sign.
-
-    Side-1 keys read their out-rows (neighbors on side 2), side-2 keys their
-    in-rows (neighbors on side 1).
-    """
-    odd = keys & 1
-    side1, side2 = np.flatnonzero(odd ^ 1), np.flatnonzero(odd)
-    out_pos, out_counts = row_positions(g.indptr, keys[side1] >> 1)
-    in_pos, in_counts = row_positions(g.in_indptr, keys[side2] >> 1)
-    nbrs = np.concatenate((2 * g.indices[out_pos] + 1, 2 * g.in_indices[in_pos]))
-    ws = np.concatenate(
-        (
-            g.weights[out_pos] * np.repeat(signs[side1], out_counts),
-            g.in_weights[in_pos] * np.repeat(signs[side2], in_counts),
-        )
-    )
-    return nbrs, ws
 
 
 def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
@@ -401,7 +364,7 @@ def evo_cut_directed(
         raise ValueError("step count must be at least 1")
     best = None
     for seed_side in (1, 2) if side == "both" else (side,):
-        seed_key = 2 * u + (seed_side - 1)
+        seed_key = cover_vertex(u, seed_side)
         if side == "both" and cover_degree(g, seed_key) <= 0:
             continue  # that copy of u is isolated in the cover
         for _ in range(attempts):

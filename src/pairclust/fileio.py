@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, sorted_lookup
 
 __all__ = [
     "ParseError",
@@ -184,8 +184,7 @@ def load_flow_matrix(path) -> Graph:
     absent flows produce no edge. Duplicate rows accumulate. Negative or
     non-finite counts are rejected with the line number.
     """
-    counts: dict = {}
-    max_id = -1
+    rows, cols, counts = [], [], []
     for lineno, line in _data_lines(path):
         parts = [part.strip() for part in line.split(",")]
         if len(parts) != 3:
@@ -199,44 +198,24 @@ def load_flow_matrix(path) -> Graph:
         _check_ids(path, lineno, j, l)
         if not 0 <= c < math.inf:
             raise ParseError(f"{path}:{lineno}: count must be finite and >= 0, got {c}")
-        counts[(j, l)] = counts.get((j, l), 0.0) + c
-        max_id = max(max_id, j, l)
+        rows.append(j)
+        cols.append(l)
+        counts.append(c)
 
-    us, vs, ws = [], [], []
-    for (j, l), fwd in counts.items():
-        if j >= l:
-            continue  # handle each unordered pair once, from the (j < l) entry
-        bwd = counts.get((l, j), 0.0)
-        _append_flow_edge(us, vs, ws, j, l, fwd, bwd)
-    for (j, l), fwd in counts.items():
-        if j < l or j == l:
-            continue
-        if (l, j) in counts:
-            continue  # already handled from the (l, j) entry
-        _append_flow_edge(us, vs, ws, j, l, fwd, 0.0)
-    return Graph.from_arrays(
-        max_id + 1,
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws, dtype=np.float64),
-        directed=True,
-    )
-
-
-def _append_flow_edge(us, vs, ws, j, l, fwd, bwd):
-    total = fwd + bwd
-    if total <= 0:
-        return
-    weight = abs(fwd - bwd) / total
-    if weight == 0.0:
-        return
-    if fwd > bwd:
-        us.append(j)
-        vs.append(l)
-    else:
-        us.append(l)
-        vs.append(j)
-    ws.append(weight)
+    # M_jl per ordered pair, summed in file order, read against its reverse M_lj
+    n = 1 + max(rows + cols, default=-1)
+    keys = np.array(rows, dtype=np.int64) * n + np.array(cols, dtype=np.int64)
+    pairs, at = np.unique(keys, return_inverse=True)
+    fwd = np.bincount(at, weights=counts, minlength=pairs.size)
+    back, held = sorted_lookup(pairs, pairs % n * n + pairs // n)
+    bwd = np.where(held, fwd[np.minimum(back, pairs.size - 1)], 0.0)
+    arc = fwd > bwd  # so an arc's total is positive: no 0/0
+    pairs, fwd, bwd = pairs[arc], fwd[arc], bwd[arc]
+    # totals past the float range give 0 or nan, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (fwd - bwd) / (fwd + bwd)
+    keep = w != 0.0
+    return Graph.from_arrays(n, pairs[keep] // n, pairs[keep] % n, w[keep], directed=True)
 
 
 def load_labels(path) -> np.ndarray:

@@ -206,11 +206,6 @@ class Graph:
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.indices[s:e], self.weights[s:e]
 
-    def in_neighbors(self, v: int):
-        self._check_vertex(v)
-        s, e = self.in_indptr[v], self.in_indptr[v + 1]
-        return self.in_indices[s:e], self.in_weights[s:e]
-
     def volume(self, vertices: Iterable[int]) -> float:
         """Sum of weighted degrees over a vertex set (out-volume if directed)."""
         ids = as_vertex_array(self.n, vertices)

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cover import to_cluster_pair, total_cover_volume
-from .graph import Graph, bipartiteness, row_positions, sorted_lookup
+from .cover import cover_degrees, cover_rows, cover_vertex, to_cluster_pair, total_cover_volume
+from .graph import Graph, bipartiteness, sorted_lookup
 
 __all__ = [
     "AprState",
@@ -72,7 +72,7 @@ class AprState:
         self.graph = g
         self.alpha = float(alpha)
         self.epsilon = float(epsilon)
-        self.keys = np.array([2 * seed_vertex], dtype=np.int64)
+        self.keys = np.array([cover_vertex(seed_vertex, 1)], dtype=np.int64)
         self.p_mass = np.zeros(1)
         self.r_mass = np.ones(1)
         self.deg = np.array([deg])
@@ -113,10 +113,8 @@ class AprState:
         self.p_mass[frontier] += alpha * ru
         self.r_mass[frontier] = (1.0 - alpha) * ru * 0.5
 
-        src = self.keys[frontier]
-        pos, counts = row_positions(g.indptr, src >> 1)
-        nbr_keys = 2 * g.indices[pos] + np.repeat((src & 1) ^ 1, counts)
-        shares = np.repeat((1.0 - alpha) * ru / (2.0 * du), counts) * g.weights[pos]
+        nbr_keys, shares, owner = cover_rows(g, self.keys[frontier])
+        shares *= ((1.0 - alpha) * ru / (2.0 * du))[owner]
         uniq, inverse = np.unique(nbr_keys, return_inverse=True)
         at, held = sorted_lookup(self.keys, uniq)
         new = ~held
@@ -126,14 +124,14 @@ class AprState:
             self.keys = np.insert(self.keys, ins, fresh)
             self.p_mass = np.insert(self.p_mass, ins, 0.0)
             self.r_mass = np.insert(self.r_mass, ins, 0.0)
-            self.deg = np.insert(self.deg, ins, g.degrees[fresh >> 1])
+            self.deg = np.insert(self.deg, ins, cover_degrees(g, fresh))
             at = at + np.cumsum(new) - new
         self.r_mass[at] += np.bincount(inverse, weights=shares, minlength=uniq.size)
 
 
 def dcpush(state: AprState, u: int, side: int) -> AprState:
     """One push at cover vertex (u, side): a round whose frontier is that vertex alone."""
-    key = 2 * u + (side - 1)
+    key = cover_vertex(u, side)
     at, held = sorted_lookup(state.keys, np.array([key], dtype=np.int64))
     if not (held[0] and state.r_mass[at[0]] > 0.0):
         raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
@@ -195,19 +193,17 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
         return None
     keys = np.fromiter(support, dtype=np.int64, count=len(support))
     vals = np.fromiter(support.values(), dtype=np.float64, count=len(support))
-    deg = g.degrees[keys >> 1]
+    deg = cover_degrees(g, keys)
     order = np.lexsort((keys, -vals / deg))
     keys, deg = keys[order], deg[order]
     by_key = np.argsort(keys)  # rank of the k-th smallest key
     if sorted_lookup(keys[by_key], keys ^ 1)[1].any():
         raise ValueError("sweep_cut requires a simplified mass vector")
     # charge each support-internal cover edge to the later of its two ranks
-    pos, counts = row_positions(g.indptr, keys >> 1)
-    nbr_keys = 2 * g.indices[pos] + np.repeat((keys & 1) ^ 1, counts)
-    rank = np.repeat(np.arange(keys.size), counts)
+    nbr_keys, ws, rank = cover_rows(g, keys)
     at, held = sorted_lookup(keys[by_key], nbr_keys)
     earlier = held & (by_key[np.minimum(at, keys.size - 1)] < rank)
-    inside = np.bincount(rank[earlier], weights=g.weights[pos[earlier]], minlength=keys.size)
+    inside = np.bincount(rank[earlier], weights=ws[earlier], minlength=keys.size)
 
     vol = np.cumsum(deg)
     cut = np.cumsum(deg - 2.0 * inside)
@@ -277,8 +273,7 @@ def loc_bipart_dc(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     epsilon = 1.0 / (20.0 * gamma)
-    p, _ = approximate_pagerank_dc(g, u, alpha, epsilon)
-    sp = simplify(p)
+    sp = simplify(AprState(g, u, alpha, epsilon).run().p)
     if not sp:
         return None
     return sweep_cut(g, sp, beta_hat, best=best_sweep)

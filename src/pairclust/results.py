@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .cover import conductance_in_cover, pair_to_cover_set
 from .fileio import graph_fingerprint
@@ -70,10 +70,10 @@ def build_run_result(
             metrics["cut_imbalance"] = None
     else:
         metrics["beta"] = bipartiteness(g, l, r)
-        metrics["volume"] = g.volume(sorted(set(l) | set(r)))
+        metrics["volume"] = g.volume(l + r)
     result.metrics = metrics
     return result
 
 
 def run_result_json(result: RunResult) -> str:
-    return json.dumps(asdict(result), indent=2, sort_keys=False)
+    return json.dumps(vars(result), indent=2)

@@ -1,9 +1,10 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from pairclust import Graph, write_edge_list
+from pairclust import Graph, cli, write_edge_list
 from pairclust.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -130,6 +131,34 @@ class TestClusterBipartite:
         data = json.loads(capsys.readouterr().out)
         assert data["metrics"]["l_names"] == ["north", "south"]
         assert data["metrics"]["r_names"] == ["east", "west"]
+
+    @pytest.mark.parametrize("case", ["found", "not found", "names", "directed"])
+    def test_json_text_is_the_indented_asdict(self, tmp_path, capsys, monkeypatch, case):
+        # the golden test compares parsed dicts; this pins the text itself
+        results, to_json = [], cli.run_result_json
+
+        def keep(result):
+            results.append(result)
+            return to_json(result)
+
+        monkeypatch.setattr(cli, "run_result_json", keep)
+        path = bipartite_island(tmp_path)
+        if case == "not found":
+            path = tmp_path / "tri.edgelist"
+            write_edge_list(Graph(3, [(0, 1), (1, 2), (2, 0)]), path)
+        argv = ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", "--gamma", "20"]
+        argv += ["--beta", "0.1", "--alpha", "0.3", "--json"]
+        if case == "names":
+            names = tmp_path / "island.names"
+            names.write_text("0 north\n1 east\n2 s\u00fcd\n3 west\n")
+            argv += ["--names", str(names)]
+        if case == "directed":
+            argv = ["cluster-directed", "-g", str(small_digraph(tmp_path)), "--side", "both"]
+            argv += ["--seed-vertex", "0", "--phi", "0.5", "--esp-steps", "3", "--json"]
+        assert main(argv) == 0
+        (result,) = results
+        assert result.found is (case != "not found")
+        assert capsys.readouterr().out == json.dumps(asdict(result), indent=2) + "\n"
 
     def test_golden_schema(self, tmp_path, capsys):
         path = bipartite_island(tmp_path)

@@ -6,7 +6,7 @@ from pairclust import (
     bipartiteness,
     conductance_in_cover,
     cover_degree,
-    cover_neighbors,
+    cover_rows,
     cover_vertex,
     epsilon_simple_cleanup,
     flow_ratio,
@@ -25,21 +25,36 @@ from helpers import (
 )
 
 
+def _row(g, key):
+    """Neighbor keys and weights of one cover key, through the array gather."""
+    keys, ws, owner = cover_rows(g, np.array([key], dtype=np.int64))
+    assert np.all(owner == 0)
+    return keys, ws
+
+
 class TestCoverNeighbors:
     def test_undirected_edge_lifts_crosswise(self):
         g = Graph(2, [(0, 1, 2.0)])
-        keys, ws = cover_neighbors(g, cover_vertex(0, 1))
+        keys, ws = _row(g, cover_vertex(0, 1))
         assert keys.tolist() == [cover_vertex(1, 2)]
         assert ws.tolist() == [2.0]
-        keys, _ = cover_neighbors(g, cover_vertex(0, 2))
+        keys, _ = _row(g, cover_vertex(0, 2))
         assert keys.tolist() == [cover_vertex(1, 1)]
 
     def test_directed_edge_lifts_once(self):
         g = Graph(2, [(0, 1)], directed=True)
-        keys, _ = cover_neighbors(g, cover_vertex(0, 1))
+        keys, _ = _row(g, cover_vertex(0, 1))
         assert keys.tolist() == [cover_vertex(1, 2)]
-        keys, _ = cover_neighbors(g, cover_vertex(0, 2))
+        keys, _ = _row(g, cover_vertex(0, 2))
         assert keys.tolist() == []
+
+    def test_side_1_rows_first_then_side_2_in_array_order(self):
+        g = Graph(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)])
+        keys = np.array([cover_vertex(2, 2), cover_vertex(1, 1), cover_vertex(0, 2)])
+        nbrs, ws, owner = cover_rows(g, keys)
+        assert owner.tolist() == [1, 1, 0, 0, 2, 2]
+        assert nbrs.tolist() == [1, 5, 0, 2, 2, 4]
+        assert ws.tolist() == [1.0, 3.0, 2.0, 3.0, 1.0, 2.0]
 
     def test_degree_identity(self):
         rng = np.random.default_rng(0)
@@ -55,7 +70,7 @@ class TestCoverNeighbors:
     def test_invalid_cover_vertex(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            cover_neighbors(g, 4)
+            cover_degree(g, 4)
         with pytest.raises(ValueError):
             cover_vertex(0, 3)
 

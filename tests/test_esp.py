@@ -14,7 +14,7 @@ from pairclust import (
     steps_for_target_flow,
     total_cover_volume,
 )
-from pairclust.cover import cover_cut_and_volume, cover_degree, cover_neighbors
+from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
 from helpers import random_directed
 
 
@@ -37,11 +37,10 @@ class TestEspStep:
         g = small_digraph()
         rng = np.random.default_rng(1)
         state = EspState.from_set(g, set(range(2 * g.n)) - {cover_vertex(3, 1)}, rng)
-        interior = {
-            key
-            for key in state.members
-            if all(nb in state.members for nb in cover_neighbors(g, key)[0].tolist())
-        }
+        keys = sorted(state.members)
+        nbrs, _, owner = cover_rows(g, np.array(keys))
+        leaky = {keys[i] for i, nb in zip(owner.tolist(), nbrs.tolist()) if nb not in state.members}
+        interior = state.members - leaky
         for _ in range(30):
             esp_step(state, rng)
             assert interior <= state.members
@@ -60,9 +59,7 @@ class TestEspStep:
         state = EspState.from_seed(g, cover_vertex(0, 1))
         for _ in range(60):
             before = set(state.members)
-            reachable = set(before)
-            for key in before:
-                reachable.update(cover_neighbors(g, key)[0].tolist())
+            reachable = before | set(cover_rows(g, np.array(sorted(before)))[0].tolist())
             esp_step(state, rng)
             assert state.members <= reachable
 

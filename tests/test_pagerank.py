@@ -65,6 +65,16 @@ class TestDcpush:
         )
         assert "ValueError: dcpush requires positive residual" in done.stderr
 
+    @pytest.mark.parametrize("u, side", [(1, 0), (0, 3)])
+    def test_side_outside_one_two_rejected(self, u, side):
+        # 2*u + side - 1 would name another copy that holds residual: keys 1 and 2
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        state = AprState(g, 1, 0.1, 1e-3)
+        dcpush(state, 1, 1)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            dcpush(state, u, side)
+        assert state.push_count == 1
+
     def test_invariant_preserved_against_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(5):

@@ -1,5 +1,5 @@
 """Property tests on random small weighted graphs: round push, sweep cut, cover scan,
-the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
+the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
 parse, the flow-matrix loader and the CLI's exit codes on arbitrary graph files."""
 
 import contextlib
@@ -32,7 +32,14 @@ from pairclust import (
     write_edge_list,
 )
 from pairclust.cli import main
-from pairclust.cover import cover_cut_and_volume, cover_degree, total_cover_volume
+from pairclust.cover import (
+    cover_cut_and_volume,
+    cover_degree,
+    cover_degrees,
+    cover_rows,
+    total_cover_volume,
+)
+from pairclust.oracle import dense_cover_adjacency
 from helpers import dense_cover_cut_and_volume
 
 SETTINGS = settings(
@@ -127,6 +134,33 @@ def test_cover_scan_matches_dense_cover(g, data):
     tol = 1e-12 * max(dense_vol, 1.0)
     assert math.isclose(vol, dense_vol, rel_tol=1e-12, abs_tol=tol)
     assert math.isclose(cut, dense_cut, rel_tol=1e-12, abs_tol=tol)
+
+
+def _with_isolated_vertex(g):
+    """g plus one vertex without edges, whose two cover keys have degree 0."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    once = slice(None) if g.directed else rows < g.indices
+    return Graph.from_arrays(
+        g.n + 1, rows[once], g.indices[once], g.weights[once], directed=g.directed
+    )
+
+
+@SETTINGS
+@given(g=st.one_of(graphs(), digraphs()), data=st.data())
+def test_cover_rows_match_dense_cover(g, data):
+    # keys in any order, repeated, both copies of a vertex, and zero-degree keys
+    g = _with_isolated_vertex(g)
+    u = data.draw(st.integers(0, g.n - 1))
+    keys = data.draw(st.lists(st.integers(0, 2 * g.n - 1), max_size=4 * g.n))
+    keys = np.array(data.draw(st.permutations(keys + [2 * u, 2 * u + 1, 2 * g.n - 1])))
+    adj = dense_cover_adjacency(g)
+    nbrs, ws, owner = cover_rows(g, keys)
+    got = sorted(zip(keys[owner].tolist(), nbrs.tolist(), ws.tolist()))
+    want = sorted(
+        (key, nbr, adj[key, nbr]) for key in keys.tolist() for nbr in np.flatnonzero(adj[key]).tolist()
+    )
+    assert got == want
+    assert np.allclose(cover_degrees(g, keys), adj[keys].sum(axis=1), rtol=1e-12, atol=0.0)
 
 
 @SETTINGS
@@ -228,12 +262,13 @@ def _dense_flow_graph(n, rows):
     return weights
 
 
+_COUNTS = st.one_of(st.integers(0, 5), st.floats(0.0, 5.0))
+
+
 @SETTINGS
 @given(
-    rows=st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 5)), min_size=1, max_size=30
-    ),
-    balanced=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 5))),
+    rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _COUNTS), min_size=1, max_size=30),
+    balanced=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _COUNTS)),
     data=st.data(),
 )
 def test_flow_matrix_matches_dense_reference(rows, balanced, data):
@@ -253,7 +288,7 @@ def test_flow_matrix_matches_dense_reference(rows, balanced, data):
         ids, ws = g.neighbors(j)
         got[j, ids] = ws
     want = _dense_flow_graph(n, rows)
-    # integer counts keep every sum exact, so the weights match to the bit
+    # both add each pair's counts in file order, so the weights match to the bit
     assert np.array_equal(got, want)
     assert g.edge_count == int(np.count_nonzero(want))
 
