@@ -16,11 +16,15 @@ exactly the base edges from L to R, so vol(S) = vol_out(L) + vol_in(R) and
 cut(S) = vol(S) - 2 e(L->R), even when S holds both copies of a vertex.
 `cover_cut_and_volume` measures every cover set this way.
 
-Read forwards, the lift is written once: `cover_rows` gathers the cover rows
-of a key array (side-1 keys read their base out-row, side-2 keys their base
-in-row) and `cover_degrees` their degrees. Push, the sweep and the numpy
-evolving-set step read the cover through these two; `cover_row` is the same
-read for one key, as Python values, for the evolving-set dict loop and walker.
+Read forwards, the lift is written once. Key k reads one row of the graph's
+CSR over cover rows, row ``(k >> 1) + (k & 1) * side2_row`` (see `Graph`):
+a side-1 key reads its base out-row, a side-2 key its base in-row, which is
+the out-row itself when the graph is undirected. The row's columns are the
+neighbors' bases, on the opposite side. `cover_rows` gathers the rows of a
+key array in key order and `cover_degrees` their degrees. Push, the sweep
+and the numpy evolving-set step read the cover through these two;
+`cover_row` is the same read for one key, as Python values, for the
+evolving-set dict loop and walker.
 """
 
 from __future__ import annotations
@@ -58,6 +62,18 @@ def _check_cover_vertex(g: Graph, key: int):
         raise ValueError(f"cover vertex {key} out of range [0, {2 * g.n})")
 
 
+def check_cover_keys(g: Graph, keys: np.ndarray):
+    """Raise ValueError naming the first key of an int64 array outside [0, 2n)."""
+    bad = keys[(keys < 0) | (keys >= 2 * g.n)]
+    if bad.size:
+        _check_cover_vertex(g, int(bad[0]))
+
+
+def cover_key_row(g: Graph, keys):
+    """The row of g's CSR over cover rows that a cover key (or int64 key array) reads."""
+    return (keys >> 1) + (keys & 1) * g.side2_row
+
+
 def cover_degree(g: Graph, key: int) -> float:
     """Weighted degree of a cover vertex.
 
@@ -65,10 +81,7 @@ def cover_degree(g: Graph, key: int) -> float:
     in-degree on side 2 for directed g.
     """
     _check_cover_vertex(g, key)
-    base = key >> 1
-    if key & 1:
-        return float(g.in_degrees[base])
-    return float(g.degrees[base])
+    return float(g.row_degrees[cover_key_row(g, key)])
 
 
 def cover_row(g: Graph, key: int):
@@ -78,41 +91,33 @@ def cover_row(g: Graph, key: int):
     neighbor keys: on the small sets the evolving-set dict loop handles,
     those would cost more than the row itself.
     """
-    base = key >> 1
-    if key & 1:
-        lo, hi = g.in_indptr[base : base + 2].tolist()
-        nbr_keys = [2 * v for v in g.in_indices[lo:hi].tolist()]
-        return nbr_keys, g.in_weights[lo:hi].tolist(), float(g.in_degrees[base])
-    lo, hi = g.indptr[base : base + 2].tolist()
-    nbr_keys = [2 * v + 1 for v in g.indices[lo:hi].tolist()]
-    return nbr_keys, g.weights[lo:hi].tolist(), float(g.degrees[base])
+    row = cover_key_row(g, key)
+    lo, hi = g.row_indptr[row : row + 2].tolist()
+    side = 1 - (key & 1)
+    nbr_keys = [2 * v + side for v in g.row_indices[lo:hi].tolist()]
+    return nbr_keys, g.row_weights[lo:hi].tolist(), float(g.row_degrees[row])
 
 
 def cover_rows(g: Graph, keys: np.ndarray):
     """Cover rows of an int64 array of in-range keys, as (nbr_keys, weights, owner).
 
-    Neighbors always live on the opposite side: a side-1 key reads its base
-    vertex's out-row and reaches side-2 copies, a side-2 key its in-row (the
-    same row when g is undirected) and reaches side-1 copies. All side-1 rows
-    come first, then all side-2 rows, each block in the order of `keys`;
-    `owner[i]` is the position in `keys` of the key whose row holds entry i.
+    The rows come in the order of `keys`, each sorted by neighbor base, and
+    `owner[i]` is the position in `keys` of the key whose row holds entry i,
+    so `owner` never decreases. Key k reads row `cover_key_row(g, k)`, and
+    its neighbors live on the opposite side: neighbor base v gives key
+    ``2*v + 1 - (k & 1)``.
     """
-    odd = keys & 1
-    side1, side2 = np.flatnonzero(odd ^ 1), np.flatnonzero(odd)
-    out_pos, out_counts = row_positions(g.indptr, keys[side1] >> 1)
-    in_pos, in_counts = row_positions(g.in_indptr, keys[side2] >> 1)
-    nbr_keys = np.concatenate((g.indices[out_pos], g.in_indices[in_pos]))
+    pos, counts = row_positions(g.row_indptr, cover_key_row(g, keys))
+    owner = np.repeat(np.arange(keys.size), counts)
+    nbr_keys = g.row_indices[pos]
     nbr_keys *= 2
-    nbr_keys[: out_pos.size] += 1
-    weights = np.concatenate((g.weights[out_pos], g.in_weights[in_pos]))
-    owner = np.repeat(np.concatenate((side1, side2)), np.concatenate((out_counts, in_counts)))
-    return nbr_keys, weights, owner
+    nbr_keys += (1 - (keys & 1))[owner]
+    return nbr_keys, g.row_weights[pos], owner
 
 
 def cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:
     """Cover degrees of in-range keys: out-degree on side 1, in-degree on side 2."""
-    bases = keys >> 1
-    return np.where(keys & 1, g.in_degrees[bases], g.degrees[bases])
+    return g.row_degrees[cover_key_row(g, keys)]
 
 
 def total_cover_volume(g: Graph) -> float:
@@ -125,9 +130,7 @@ def total_cover_volume(g: Graph) -> float:
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
     """(boundary weight, volume) of a cover set, through the reduction to (L, R)."""
     k = np.unique(keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64))
-    if k.size and (k[0] < 0 or k[-1] >= 2 * g.n):
-        bad = k[0] if k[0] < 0 else k[-1]
-        raise ValueError(f"cover vertex {bad} out of range [0, {2 * g.n})")
+    check_cover_keys(g, k)
     l, r = to_cluster_pair(k)
     vol = float(g.degrees[l].sum()) + float(g.in_degrees[r].sum())
     return vol - 2.0 * g._weight_between(l, r), vol

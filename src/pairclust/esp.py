@@ -31,6 +31,7 @@ from .cover import (
     cover_cut_and_volume,
     cover_degree,
     cover_degrees,
+    cover_key_row,
     cover_row,
     cover_rows,
     cover_vertex,
@@ -88,25 +89,6 @@ class EspState:
         return cls._build(g, {seed_key}, seed_key)
 
     @classmethod
-    def from_set(cls, g: Graph, keys, rng) -> "EspState":
-        """Start from an arbitrary cover set; the walker is drawn degree-proportionally.
-
-        The degree-proportional draw is the coupling's stationary placement, so
-        one step from here has exactly the volume-biased transition law.
-        """
-        members = set(keys)
-        if not members:
-            raise ValueError("start set must be nonempty")
-        ordered = sorted(members)
-        degs = np.array([cover_degree(g, key) for key in ordered])
-        total = degs.sum()
-        if total <= 0:
-            raise ValueError("start set must have positive volume")
-        cum = np.cumsum(degs)
-        walker = ordered[int(np.searchsorted(cum, rng.random() * total, side="right"))]
-        return cls._build(g, members, walker)
-
-    @classmethod
     def _build(cls, g: Graph, members: set, walker: int) -> "EspState":
         nbr_mass = {key: 0.0 for key in members}
         vol = 0.0
@@ -116,9 +98,6 @@ class EspState:
             for nb, w in zip(nbr_keys, ws):
                 nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
         return cls(g, members, walker, nbr_mass, vol)
-
-    def clone(self) -> "EspState":
-        return EspState(self.graph, set(self.members), self.walker, dict(self.nbr_mass), self.vol)
 
     def _q(self, key: int) -> float:
         """Q(key, S): one lazy-walk-step probability of landing in the current set."""
@@ -174,11 +153,10 @@ def _update_dict(state: EspState, u: float):
     nbr_mass = state.nbr_mass
 
     # 3. superlevel set of Q at the threshold
-    in_deg = g.in_degrees.item
-    out_deg = g.degrees.item
+    deg_of = g.row_degrees.item
     new_members = set()
     for key, mass in nbr_mass.items():
-        deg = in_deg(key >> 1) if key & 1 else out_deg(key >> 1)
+        deg = deg_of(cover_key_row(g, key))
         if deg <= 0:
             q = 1.0 if key in members else 0.0
         else:

@@ -32,7 +32,8 @@ def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
         arr = np.fromiter(vertices, dtype=np.int64)
     ids = np.unique(arr)
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
-        raise ValueError(f"vertex id out of range [0, {n})")
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"vertex id {bad} out of range [0, {n})")
     return ids
 
 
@@ -60,40 +61,38 @@ def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     return uniq // n, uniq % n, wsum
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    # single-key sort; (row, col) pairs are unique after merging
-    order = np.argsort(rows * np.int64(n) + cols)
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    for arr in (indptr, cols, vals):
-        arr.setflags(write=False)
-    return indptr, cols, vals
-
-
 class Graph:
     """Immutable weighted sparse graph, undirected or directed.
 
     Vertex ids are dense integers in [0, n). All edge weights are strictly
     positive; parallel edges are merged by summing weights and self-loops are
-    rejected at construction. Undirected adjacency is stored symmetrically;
-    directed graphs keep both out- and in-adjacency in CSR form. Instances
-    are safe to share across threads: every query is pure and the underlying
-    arrays are marked read-only.
+    rejected at construction. Instances are safe to share across threads:
+    every query is pure and the underlying arrays are marked read-only.
+
+    The adjacency is one CSR (`row_indptr`, `row_indices`, `row_weights`, with
+    weighted row degrees `row_degrees`) over the rows a cover vertex reads.
+    Row u is u's out-row. An undirected graph stores each edge in both
+    endpoints' rows and has n rows; a side-2 cover copy reads the same row as
+    side 1, so `side2_row` is 0. A digraph has 2n rows: its out-rows, then
+    at n + v the in-row of v, so `side2_row` is n. Each row is sorted by
+    column. `indptr`, `indices`, `weights` (the out-rows), `degrees` (out-degrees
+    for a digraph) and `in_degrees` are read-only views of that CSR.
     """
 
     __slots__ = (
         "n",
         "directed",
         "edge_count",
+        "row_indptr",
+        "row_indices",
+        "row_weights",
+        "row_degrees",
+        "side2_row",
         "indptr",
         "indices",
         "weights",
-        "in_indptr",
-        "in_indices",
-        "in_weights",
-        "_deg",
-        "_in_deg",
+        "degrees",
+        "in_degrees",
         "_total_deg",
         "_total_in_deg",
     )
@@ -139,36 +138,46 @@ class Graph:
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValueError("edge weights must be finite and > 0")
 
-        self.n = int(n)
+        n = self.n = int(n)
         self.directed = bool(directed)
-
-        if directed:
-            su, sv, sw = _merge_edges(n, u, v, w)
-            self.edge_count = int(su.size)
-            self.indptr, self.indices, self.weights = _csr(n, su, sv, sw)
-            self.in_indptr, self.in_indices, self.in_weights = _csr(n, sv, su, sw)
-            self._deg = np.bincount(su, weights=sw, minlength=n)
-            self._in_deg = np.bincount(sv, weights=sw, minlength=n)
-        else:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            su, sv, sw = _merge_edges(n, lo, hi, w)
-            self.edge_count = int(su.size)
-            rows = np.concatenate([su, sv])
-            cols = np.concatenate([sv, su])
-            vals = np.concatenate([sw, sw])
-            self.indptr, self.indices, self.weights = _csr(n, rows, cols, vals)
-            self.in_indptr, self.in_indices, self.in_weights = (
-                self.indptr,
-                self.indices,
-                self.weights,
-            )
-            self._deg = np.bincount(rows, weights=vals, minlength=n)
-            self._in_deg = self._deg
-        self._deg.setflags(write=False)
-        self._in_deg.setflags(write=False)
-        self._total_deg = float(self._deg.sum())
-        self._total_in_deg = float(self._in_deg.sum())
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        su, sv, sw = _merge_edges(n, u, v, w)
+        del u, v, w
+        m = self.edge_count = int(su.size)
+        side2 = n if directed else 0
+        nrows = n + side2
+        rows = np.concatenate([su, sv])
+        rows[m:] += side2
+        cols = np.concatenate([sv, su])
+        vals = np.concatenate([sw, sw])
+        del su, sv, sw
+        deg = np.bincount(rows, weights=vals, minlength=nrows)
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+        # Sort by (row, col), unique after merging, on a key built in place of
+        # rows. It reaches nrows * n <= 2 * MAX_VERTICES**2 < 2**64: unsigned.
+        key = rows.view(np.uint64)
+        del rows
+        key *= np.uint64(n)
+        key += cols.view(np.uint64)
+        order = np.argsort(key)
+        del key
+        cols = cols[order]
+        vals = vals[order]
+        for arr in (indptr, cols, vals, deg):
+            arr.setflags(write=False)
+        self.row_indptr, self.row_indices, self.row_weights = indptr, cols, vals
+        self.row_degrees = deg
+        self.side2_row = side2
+        out_end = int(indptr[n])
+        self.indptr = indptr[: n + 1]
+        self.indices = cols[:out_end]
+        self.weights = vals[:out_end]
+        self.degrees = deg[:n]
+        self.in_degrees = deg[side2 : side2 + n]
+        self._total_deg = float(self.degrees.sum())
+        self._total_in_deg = float(self.in_degrees.sum())
 
     # -- degree / volume -------------------------------------------------
 
@@ -179,26 +188,9 @@ class Graph:
     def degree(self, v: int) -> float:
         """Weighted degree of v. Only defined for undirected graphs."""
         if self.directed:
-            raise ValueError("degree() is undirected-only; use out_degree/in_degree")
+            raise ValueError("degree() is undirected-only; read the degrees / in_degrees arrays")
         self._check_vertex(v)
-        return float(self._deg[v])
-
-    def out_degree(self, v: int) -> float:
-        self._check_vertex(v)
-        return float(self._deg[v])
-
-    def in_degree(self, v: int) -> float:
-        self._check_vertex(v)
-        return float(self._in_deg[v])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Weighted degree array (out-degrees for directed graphs)."""
-        return self._deg
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return self._in_deg
+        return float(self.degrees[v])
 
     def neighbors(self, v: int):
         """Out-neighbors of v as (ids, weights) array views."""
@@ -209,15 +201,15 @@ class Graph:
     def volume(self, vertices: Iterable[int]) -> float:
         """Sum of weighted degrees over a vertex set (out-volume if directed)."""
         ids = as_vertex_array(self.n, vertices)
-        return float(self._deg[ids].sum())
+        return float(self.degrees[ids].sum())
 
     def vol_out(self, vertices: Iterable[int]) -> float:
         ids = as_vertex_array(self.n, vertices)
-        return float(self._deg[ids].sum())
+        return float(self.degrees[ids].sum())
 
     def vol_in(self, vertices: Iterable[int]) -> float:
         ids = as_vertex_array(self.n, vertices)
-        return float(self._in_deg[ids].sum())
+        return float(self.in_degrees[ids].sum())
 
     def total_volume(self) -> float:
         """vol(V): sum of all degrees (out-degrees if directed)."""
@@ -244,7 +236,7 @@ class Graph:
             raise ValueError("boundary_weight() is undirected-only")
         ids = as_vertex_array(self.n, vertices)
         internal2 = self._weight_between(ids, ids)
-        return float(self._deg[ids].sum()) - internal2
+        return float(self.degrees[ids].sum()) - internal2
 
 
 def _edge_arrays(edges: Iterable[tuple]):

@@ -6,6 +6,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .graph import as_vertex_array
+
 __all__ = ["ari", "misclassified_ratio", "pair_labeling"]
 
 
@@ -71,13 +73,10 @@ def pair_labeling(n: int, l: Iterable[int], r: Iterable[int]) -> np.ndarray:
 
     This is the convention used to compare a two-cluster local output against
     ground truth with more clusters: both sides are collapsed to
-    {first, second, outside} before computing the ARI.
+    {first, second, outside} before computing the ARI. Raises ValueError for
+    ids outside [0, n).
     """
     labels = np.zeros(n, dtype=np.int64)
-    l = np.asarray(list(l), dtype=np.int64)
-    r = np.asarray(list(r), dtype=np.int64)
-    if l.size:
-        labels[l] = 1
-    if r.size:
-        labels[r] = 2
+    labels[as_vertex_array(n, l)] = 1
+    labels[as_vertex_array(n, r)] = 2
     return labels

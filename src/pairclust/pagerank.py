@@ -17,7 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cover import cover_degrees, cover_rows, cover_vertex, to_cluster_pair, total_cover_volume
+from .cover import (
+    check_cover_keys,
+    cover_degrees,
+    cover_rows,
+    cover_vertex,
+    to_cluster_pair,
+    total_cover_volume,
+)
 from .graph import Graph, bipartiteness, sorted_lookup
 
 __all__ = [
@@ -193,6 +200,7 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
         return None
     keys = np.fromiter(support, dtype=np.int64, count=len(support))
     vals = np.fromiter(support.values(), dtype=np.float64, count=len(support))
+    check_cover_keys(g, keys)
     deg = cover_degrees(g, keys)
     order = np.lexsort((keys, -vals / deg))
     keys, deg = keys[order], deg[order]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from pairclust import Graph
+from pairclust.cover import cover_degree
+from pairclust.esp import EspState
 from pairclust.oracle import dense_cover_adjacency
 
 
@@ -93,3 +95,27 @@ def dense_cover_conductance(g: Graph, keys) -> float:
     cut, vol = dense_cover_cut_and_volume(g, keys)
     total = float(dense_cover_adjacency(g).sum())
     return cut / min(vol, total - vol)
+
+
+def esp_state_from_set(g: Graph, keys, rng) -> EspState:
+    """Evolving-set state on an arbitrary cover set; the walker is drawn degree-proportionally.
+
+    The degree-proportional draw is the coupling's stationary placement, so
+    one step from here has exactly the volume-biased transition law.
+    """
+    members = set(keys)
+    if not members:
+        raise ValueError("start set must be nonempty")
+    ordered = sorted(members)
+    degs = np.array([cover_degree(g, key) for key in ordered])
+    total = degs.sum()
+    if total <= 0:
+        raise ValueError("start set must have positive volume")
+    cum = np.cumsum(degs)
+    walker = ordered[int(np.searchsorted(cum, rng.random() * total, side="right"))]
+    return EspState._build(g, members, walker)
+
+
+def clone_state(state: EspState) -> EspState:
+    """An independent copy of an evolving-set state."""
+    return EspState(state.graph, set(state.members), state.walker, dict(state.nbr_mass), state.vol)

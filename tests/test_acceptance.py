@@ -32,11 +32,12 @@ from pairclust import (
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume
-from pairclust.esp import EspState
 from pairclust.oracle import dense_walk_matrix
 from helpers import (
+    clone_state,
     dense_cover_conductance,
     doubled_part,
+    esp_state_from_set,
     mass_to_dense,
     random_connected_undirected,
     random_directed,
@@ -306,12 +307,12 @@ def test_criterion_7_esp_kernel_statistical():
             drift = sum(p * sum(cover_degree(g, key) for key in s) for s, p in k.items()) - vol_s
             assert abs(drift) <= 1e-10
 
-            base = EspState.from_set(g, start, rng)
+            base = esp_state_from_set(g, start, rng)
             ordered = sorted(start)
             cum = np.cumsum([cover_degree(g, key) for key in ordered])
             counts: dict = {}
             for _ in range(samples):
-                state = base.clone()
+                state = clone_state(base)
                 state.walker = ordered[
                     int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
                 ]

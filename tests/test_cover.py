@@ -48,13 +48,22 @@ class TestCoverNeighbors:
         keys, _ = _row(g, cover_vertex(0, 2))
         assert keys.tolist() == []
 
-    def test_side_1_rows_first_then_side_2_in_array_order(self):
-        g = Graph(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)])
+    @pytest.mark.parametrize(
+        "directed, owner, nbrs, ws",
+        [
+            (False, [0, 0, 1, 1, 2, 2], [0, 2, 1, 5, 2, 4], [2, 3, 1, 3, 1, 2]),
+            (True, [0, 0, 1, 2], [0, 2, 5, 4], [2, 3, 3, 5]),
+        ],
+        ids=["undirected", "directed"],
+    )
+    def test_rows_in_key_order(self, directed, owner, nbrs, ws):
+        edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)] + [(2, 0, 5.0)] * directed
+        g = Graph(3, edges, directed=directed)
         keys = np.array([cover_vertex(2, 2), cover_vertex(1, 1), cover_vertex(0, 2)])
-        nbrs, ws, owner = cover_rows(g, keys)
-        assert owner.tolist() == [1, 1, 0, 0, 2, 2]
-        assert nbrs.tolist() == [1, 5, 0, 2, 2, 4]
-        assert ws.tolist() == [1.0, 3.0, 2.0, 3.0, 1.0, 2.0]
+        got_nbrs, got_ws, got_owner = cover_rows(g, keys)
+        assert got_owner.tolist() == owner
+        assert got_nbrs.tolist() == nbrs
+        assert got_ws.tolist() == ws
 
     def test_degree_identity(self):
         rng = np.random.default_rng(0)
@@ -64,8 +73,8 @@ class TestCoverNeighbors:
             assert cover_degree(g, cover_vertex(u, 2)) == pytest.approx(g.degree(u))
         dg = random_directed(rng, 8, weighted=True)
         for u in range(8):
-            assert cover_degree(dg, cover_vertex(u, 1)) == pytest.approx(dg.out_degree(u))
-            assert cover_degree(dg, cover_vertex(u, 2)) == pytest.approx(dg.in_degree(u))
+            assert cover_degree(dg, cover_vertex(u, 1)) == pytest.approx(dg.degrees[u])
+            assert cover_degree(dg, cover_vertex(u, 2)) == pytest.approx(dg.in_degrees[u])
 
     def test_invalid_cover_vertex(self):
         g = Graph(2, [(0, 1)])
@@ -200,7 +209,7 @@ class TestSimpleSets:
             recount = 0.0
             for base in range(n):
                 if 2 * base in keys and 2 * base + 1 in keys:
-                    recount += g.out_degree(base) + g.in_degree(base)
+                    recount += g.degrees[base] + g.in_degrees[base]
             assert eps_module == pytest.approx(recount / vol_s, abs=1e-15)
 
     def test_cleanup_bound_on_random_instances(self):

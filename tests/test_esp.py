@@ -15,7 +15,7 @@ from pairclust import (
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
-from helpers import random_directed
+from helpers import clone_state, esp_state_from_set, random_directed
 
 
 def small_digraph():
@@ -27,7 +27,7 @@ class TestEspStep:
         g = Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
         everything = set(range(2 * g.n))
         rng = np.random.default_rng(0)
-        state = EspState.from_set(g, everything, rng)
+        state = esp_state_from_set(g, everything, rng)
         for _ in range(20):
             esp_step(state, rng)
             assert state.members == everything
@@ -36,7 +36,7 @@ class TestEspStep:
         # a vertex with all cover neighbors inside has Q = 1 under the lazy walk
         g = small_digraph()
         rng = np.random.default_rng(1)
-        state = EspState.from_set(g, set(range(2 * g.n)) - {cover_vertex(3, 1)}, rng)
+        state = esp_state_from_set(g, set(range(2 * g.n)) - {cover_vertex(3, 1)}, rng)
         keys = sorted(state.members)
         nbrs, _, owner = cover_rows(g, np.array(keys))
         leaky = {keys[i] for i, nb in zip(owner.tolist(), nbrs.tolist()) if nb not in state.members}
@@ -79,13 +79,13 @@ class TestEspStep:
         start = pair_to_cover_set([0], [1])
         _, k_hat = exact_esp_kernel(g, start)
         rng = np.random.default_rng(9)
-        base = EspState.from_set(g, start, rng)
+        base = esp_state_from_set(g, start, rng)
         ordered = sorted(start)
         cum = np.cumsum([cover_degree(g, key) for key in ordered])
         counts: dict = {}
         samples = 20000
         for _ in range(samples):
-            state = base.clone()
+            state = clone_state(base)
             state.walker = ordered[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
             esp_step(state, rng)
             key = frozenset(state.members)

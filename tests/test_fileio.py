@@ -57,8 +57,8 @@ class TestLoadEdgeList:
         f = tmp_path / "g.edgelist"
         f.write_text("0 1\n1 0 2.0\n")
         g = load_edge_list(f, directed=True)
-        assert g.out_degree(0) == 1.0
-        assert g.in_degree(0) == 2.0
+        assert g.degrees[0] == 1.0
+        assert g.in_degrees[0] == 2.0
 
     def test_undirected_duplicates_merge(self, tmp_path):
         f = tmp_path / "g.edgelist"
@@ -237,28 +237,28 @@ class TestLoadFlowMatrix:
         f.write_text("0,1,3\n1,0,1\n")
         g = load_flow_matrix(f)
         assert g.directed
-        assert g.out_degree(0) == pytest.approx(0.5)
-        assert g.in_degree(1) == pytest.approx(0.5)
-        assert g.out_degree(1) == 0.0
+        assert g.degrees[0] == pytest.approx(0.5)
+        assert g.in_degrees[1] == pytest.approx(0.5)
+        assert g.degrees[1] == 0.0
 
     def test_balanced_flow_omitted(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("0,1,5\n1,0,5\n2,0,1\n")
         g = load_flow_matrix(f)
         assert g.edge_count == 1
-        assert g.out_degree(2) == 1.0
+        assert g.degrees[2] == 1.0
 
     def test_one_sided_flow_weight_one(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("0,1,4\n1,0,0\n")
         g = load_flow_matrix(f)
-        assert g.out_degree(0) == 1.0
+        assert g.degrees[0] == 1.0
 
     def test_duplicate_rows_accumulate(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("0,1,2\n0,1,1\n1,0,1\n")
         g = load_flow_matrix(f)
-        assert g.out_degree(0) == pytest.approx(0.5)
+        assert g.degrees[0] == pytest.approx(0.5)
 
     def test_negative_count_rejected(self, tmp_path):
         f = tmp_path / "m.csv"

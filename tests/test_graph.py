@@ -38,8 +38,8 @@ class TestConstruction:
     def test_directed_parallel_arcs_merge_per_direction(self):
         g = Graph(2, [(0, 1, 1.0), (0, 1, 2.0), (1, 0, 5.0)], directed=True)
         assert g.edge_count == 2
-        assert g.out_degree(0) == 3.0
-        assert g.in_degree(0) == 5.0
+        assert g.degrees[0] == 3.0
+        assert g.in_degrees[0] == 5.0
 
     def test_rejects_vertex_count_whose_square_overflows_int64(self):
         # edges are keyed u*n + v in int64; the check comes before any O(n) array
@@ -66,10 +66,10 @@ class TestDegree:
 
     def test_directed_single_edge(self):
         g = Graph(2, [(0, 1)], directed=True)
-        assert g.out_degree(0) == 1.0
-        assert g.in_degree(0) == 0.0
-        assert g.out_degree(1) == 0.0
-        assert g.in_degree(1) == 1.0
+        assert g.degrees[0] == 1.0
+        assert g.in_degrees[0] == 0.0
+        assert g.degrees[1] == 0.0
+        assert g.in_degrees[1] == 1.0
 
     def test_weighted_degree(self):
         g = Graph(2, [(0, 1, 30.0)])

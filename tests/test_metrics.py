@@ -107,3 +107,8 @@ class TestPairLabeling:
 
     def test_empty_sides(self):
         assert pair_labeling(3, [], []).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("l, r, bad", [([-1], [0], -1), ([0], [4], 4), ([5], [], 5)])
+    def test_id_outside_range_rejected(self, l, r, bad):
+        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range \[0, 4\)"):
+            pair_labeling(4, l, r)

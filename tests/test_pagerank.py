@@ -221,6 +221,12 @@ class TestSweepCut:
         with pytest.raises(ValueError, match="simplified"):
             sweep_cut(g, {0: 0.4, 1: 0.3}, beta_target=1.0)
 
+    @pytest.mark.parametrize("key", [8, -1])
+    def test_key_outside_cover_rejected(self, key):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=rf"cover vertex {key} out of range \[0, 8\)"):
+            sweep_cut(g, {key: 1.0}, beta_target=0.9)
+
     def test_tie_break_by_base_then_side(self):
         # equal mass/degree everywhere: prefix order is base ascending, side 1 first
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -40,7 +40,7 @@ from pairclust.cover import (
     total_cover_volume,
 )
 from pairclust.oracle import dense_cover_adjacency
-from helpers import dense_cover_cut_and_volume
+from helpers import clone_state, dense_cover_cut_and_volume, esp_state_from_set
 
 SETTINGS = settings(
     max_examples=60,
@@ -155,6 +155,7 @@ def test_cover_rows_match_dense_cover(g, data):
     keys = np.array(data.draw(st.permutations(keys + [2 * u, 2 * u + 1, 2 * g.n - 1])))
     adj = dense_cover_adjacency(g)
     nbrs, ws, owner = cover_rows(g, keys)
+    assert np.all(np.diff(owner) >= 0)  # rows come in key order
     got = sorted(zip(keys[owner].tolist(), nbrs.tolist(), ws.tolist()))
     want = sorted(
         (key, nbr, adj[key, nbr]) for key in keys.tolist() for nbr in np.flatnonzero(adj[key]).tolist()
@@ -215,14 +216,14 @@ def esp_starts(draw):
         else:  # a random share of the whole cover, zero-degree keys included
             keys = set(np.flatnonzero(rng.random(2 * g.n) < draw(st.floats(0.1, 1.0))).tolist())
         keys.add(draw(st.sampled_from(live)))
-        state = EspState.from_set(g, keys, rng)
+        state = esp_state_from_set(g, keys, rng)
     chunk = draw(st.sampled_from([1, 3, 8, esp._GATHER_CHUNK]))
     return state, integer, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1)), chunk
 
 
 def _step_with(state, seed, min_keys, chunk):
     """One esp_step on a copy of `state`, forced to one form by the dispatch threshold."""
-    copy = state.clone()
+    copy = clone_state(state)
     with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=min_keys, _GATHER_CHUNK=chunk):
         esp_step(copy, np.random.default_rng(seed))
     return copy
@@ -395,7 +396,7 @@ def test_bulk_parse_agrees_with_line_parser(data, directed):
         return
     assert isinstance(got, Graph)
     assert (got.n, got.directed, got.edge_count) == (want.n, want.directed, want.edge_count)
-    for name in ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"):
+    for name in ("indptr", "indices", "weights", "row_indptr", "row_indices", "row_weights"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert graph_fingerprint(got) == graph_fingerprint(want)
 
