@@ -14,7 +14,7 @@ Read backwards, the lift measures any cover set S. With L the bases of S's
 side-1 copies and R those of its side-2 copies, the cover edges inside S are
 exactly the base edges from L to R, so vol(S) = vol_out(L) + vol_in(R) and
 cut(S) = vol(S) - 2 e(L->R), even when S holds both copies of a vertex.
-`cover_cut_and_volume` measures every cover set this way.
+`cover_cut_and_volume` measures every cover set this way, with `Graph._pair_volume`.
 
 Read forwards, the lift is written once. Key k reads one row of the graph's
 CSR over cover rows, row ``(k >> 1) + (k & 1) * side2_row`` (see `Graph`):
@@ -52,7 +52,7 @@ __all__ = [
 
 def cover_vertex(base: int, side: int) -> int:
     """Encode (base, side) as a cover-vertex key."""
-    if side not in (1, 2):
+    if not isinstance(side, (int, np.integer)) or side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     return 2 * base + (side - 1)
 
@@ -121,10 +121,8 @@ def cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:
 
 
 def total_cover_volume(g: Graph) -> float:
-    """vol of the whole cover: 2 vol(V) undirected, vol_out(V) + vol_in(V) directed."""
-    if g.directed:
-        return g._total_deg + g._total_in_deg
-    return 2.0 * g._total_deg
+    """vol of the whole cover: vol_out(V) + vol_in(V), which is 2 vol(V) undirected."""
+    return g._total_deg + g._total_in_deg
 
 
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
@@ -132,16 +130,13 @@ def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
     k = np.unique(keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64))
     check_cover_keys(g, k)
     l, r = to_cluster_pair(k)
-    vol = float(g.degrees[l].sum()) + float(g.in_degrees[r].sum())
+    vol = g._pair_volume(l, r)
     return vol - 2.0 * g._weight_between(l, r), vol
 
 
 def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
     """Conductance of a cover-vertex set, evaluated without materializing the cover."""
-    s = set(keys)
-    if not s:
-        raise ValueError("conductance undefined for the empty cover set")
-    cut, vol = cover_cut_and_volume(g, s)
+    cut, vol = cover_cut_and_volume(g, keys)
     denom = min(vol, total_cover_volume(g) - vol)
     if denom <= 0:
         raise ValueError("conductance undefined: zero-volume side of the cover cut")

@@ -360,8 +360,7 @@ def _sample_pair(g: Graph, seed_key: int, t: int, rng):
         return None
     _check_cleanup_bound(g, s, s_simple)
     l, r = to_cluster_pair(s_simple)
-    denom = float(g.degrees[l].sum()) + float(g.in_degrees[r].sum())
-    if denom <= 0:
+    vol = g._pair_volume(l, r)
+    if vol <= 0:
         return None
-    flow = flow_ratio(g, l, r)
-    return DirectedClusterPair(l=l, r=r, flow=flow, volume=denom)
+    return DirectedClusterPair(l=l, r=r, flow=flow_ratio(g, l, r), volume=vol)

@@ -1,4 +1,8 @@
-"""Sparse weighted graph storage with degree, volume, cut, and cluster-quality queries."""
+"""Sparse weighted graph storage with degree, volume, cut, and cluster-quality queries.
+
+A pair (L, R) is measured as the cover set L1 u R2: `Graph._pair_volume` is the one
+volume rule, and beta and F are both 1 - 2 e(L->R) over that volume.
+"""
 
 from __future__ import annotations
 
@@ -203,14 +207,6 @@ class Graph:
         ids = as_vertex_array(self.n, vertices)
         return float(self.degrees[ids].sum())
 
-    def vol_out(self, vertices: Iterable[int]) -> float:
-        ids = as_vertex_array(self.n, vertices)
-        return float(self.degrees[ids].sum())
-
-    def vol_in(self, vertices: Iterable[int]) -> float:
-        ids = as_vertex_array(self.n, vertices)
-        return float(self.in_degrees[ids].sum())
-
     def total_volume(self) -> float:
         """vol(V): sum of all degrees (out-degrees if directed)."""
         return self._total_deg
@@ -230,13 +226,9 @@ class Graph:
         _, hit = sorted_lookup(b_ids, self.indices[pos])
         return float(self.weights[pos[hit]].sum())
 
-    def boundary_weight(self, vertices: Iterable[int]) -> float:
-        """Weight of the undirected boundary: edges with exactly one endpoint inside."""
-        if self.directed:
-            raise ValueError("boundary_weight() is undirected-only")
-        ids = as_vertex_array(self.n, vertices)
-        internal2 = self._weight_between(ids, ids)
-        return float(self.degrees[ids].sum()) - internal2
+    def _pair_volume(self, l_ids: np.ndarray, r_ids: np.ndarray) -> float:
+        """vol(L1 u R2) = vol_out(L) + vol_in(R): the one volume rule for a pair."""
+        return float(self.degrees[l_ids].sum()) + float(self.in_degrees[r_ids].sum())
 
 
 def _edge_arrays(edges: Iterable[tuple]):
@@ -272,38 +264,33 @@ def conductance(g: Graph, vertices: Iterable[int]) -> float:
     denom = min(vol, g.total_volume() - vol)
     if denom <= 0:
         raise ValueError("conductance undefined: zero-volume side")
-    return g.boundary_weight(ids) / denom
+    return (vol - g._weight_between(ids, ids)) / denom
+
+
+def _pair_ratio(g: Graph, l: Iterable[int], r: Iterable[int]) -> float:
+    """1 - 2 e(L->R) / vol(L1 u R2), the pair's measure as one cover set."""
+    l_ids = as_vertex_array(g.n, l)
+    r_ids = as_vertex_array(g.n, r)
+    if np.intersect1d(l_ids, r_ids).size:
+        raise ValueError("L and R must be disjoint")
+    vol = g._pair_volume(l_ids, r_ids)
+    if vol <= 0:
+        raise ValueError("L1 u R2 has zero volume")
+    return 1.0 - 2.0 * g._weight_between(l_ids, r_ids) / vol
 
 
 def bipartiteness(g: Graph, l: Iterable[int], r: Iterable[int]) -> float:
     """1 - 2 e(L, R) / vol(L u R): low values mean a dense, jointly isolated pair."""
     if g.directed:
         raise ValueError("bipartiteness() is undirected-only; see flow_ratio()")
-    l_ids = as_vertex_array(g.n, l)
-    r_ids = as_vertex_array(g.n, r)
-    union = np.union1d(l_ids, r_ids)
-    if union.size != l_ids.size + r_ids.size:
-        raise ValueError("L and R must be disjoint")
-    if union.size == 0:
-        raise ValueError("L u R must be nonempty")
-    vol = float(g.degrees[union].sum())
-    if vol <= 0:
-        raise ValueError("L u R has zero volume")
-    return 1.0 - 2.0 * g._weight_between(l_ids, r_ids) / vol
+    return _pair_ratio(g, l, r)
 
 
 def flow_ratio(g: Graph, l: Iterable[int], r: Iterable[int]) -> float:
     """1 - 2 e(L->R) / (vol_out(L) + vol_in(R)): low values mean edges flow L to R."""
     if not g.directed:
         raise ValueError("flow_ratio() is directed-only; see bipartiteness()")
-    l_ids = as_vertex_array(g.n, l)
-    r_ids = as_vertex_array(g.n, r)
-    if np.intersect1d(l_ids, r_ids).size:
-        raise ValueError("L and R must be disjoint")
-    denom = float(g.degrees[l_ids].sum()) + float(g.in_degrees[r_ids].sum())
-    if denom <= 0:
-        raise ValueError("vol_out(L) + vol_in(R) must be positive")
-    return 1.0 - 2.0 * g._weight_between(l_ids, r_ids) / denom
+    return _pair_ratio(g, l, r)
 
 
 def cut_imbalance(g: Graph, l: Iterable[int], r: Iterable[int]) -> float:

@@ -74,9 +74,12 @@ def pair_labeling(n: int, l: Iterable[int], r: Iterable[int]) -> np.ndarray:
     This is the convention used to compare a two-cluster local output against
     ground truth with more clusters: both sides are collapsed to
     {first, second, outside} before computing the ARI. Raises ValueError for
-    ids outside [0, n).
+    ids outside [0, n) and for L and R that overlap.
     """
     labels = np.zeros(n, dtype=np.int64)
     labels[as_vertex_array(n, l)] = 1
-    labels[as_vertex_array(n, r)] = 2
+    r_ids = as_vertex_array(n, r)
+    if labels[r_ids].any():
+        raise ValueError("L and R must be disjoint")
+    labels[r_ids] = 2
     return labels

@@ -106,9 +106,7 @@ def brute_force_best_pair(g: Graph):
     for assign in _pair_assignments(g.n):
         l = [v for v, a in enumerate(assign) if a == 1]
         r = [v for v, a in enumerate(assign) if a == 2]
-        if not l and not r:
-            continue
-        if g.volume(l + r) <= 0:
+        if g.volume(l + r) <= 0:  # also skips the empty pair
             continue
         beta = bipartiteness(g, l, r)
         if best is None or beta < best[2]:

@@ -71,8 +71,8 @@ class AprState:
             raise ValueError("the double-cover push runs on undirected graphs only")
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         deg = g.degree(seed_vertex)
         if deg <= 0:
             raise ValueError(f"seed vertex {seed_vertex} has degree 0")
@@ -235,7 +235,7 @@ def _verified_pair(g: Graph, prefix: np.ndarray, beta_target: float, j: int):
     beta = bipartiteness(g, l, r)
     if beta > beta_target:
         return None
-    vol = float(g.degrees[np.concatenate([l, r])].sum())
+    vol = g._pair_volume(l, r)
     return ClusterPair(l=l, r=r, beta=beta, volume=vol, sweep_index=j)
 
 
@@ -281,6 +281,8 @@ def loc_bipart_dc(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     epsilon = 1.0 / (20.0 * gamma)
+    if epsilon == math.inf:
+        raise ValueError(f"gamma={gamma} gives push threshold 1/(20*gamma) = inf")
     sp = simplify(AprState(g, u, alpha, epsilon).run().p)
     if not sp:
         return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .cover import conductance_in_cover, pair_to_cover_set
 from .fileio import graph_fingerprint
-from .graph import Graph, bipartiteness, cut_imbalance, flow_ratio
+from .graph import Graph, as_vertex_array, bipartiteness, cut_imbalance, flow_ratio
 
 __all__ = ["RunResult", "build_run_result", "run_result_json"]
 
@@ -61,16 +61,17 @@ def build_run_result(
     metrics: dict = {}
     cover_set = pair_to_cover_set(l, r)
     metrics["conductance_in_cover"] = conductance_in_cover(g, cover_set)
+    volume = g._pair_volume(as_vertex_array(g.n, l), as_vertex_array(g.n, r))
     if g.directed:
         metrics["flow_ratio"] = flow_ratio(g, l, r)
-        metrics["volume"] = g.vol_out(l) + g.vol_in(r)
+        metrics["volume"] = volume
         try:
             metrics["cut_imbalance"] = cut_imbalance(g, l, r)
         except ValueError:
             metrics["cut_imbalance"] = None
     else:
         metrics["beta"] = bipartiteness(g, l, r)
-        metrics["volume"] = g.volume(l + r)
+        metrics["volume"] = volume
     result.metrics = metrics
     return result
 

@@ -378,6 +378,16 @@ class TestOracle:
         xs = [pt[0] for pt in data["points"]]
         assert xs == sorted(xs)
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_ls_curve_non_finite_epsilon_is_three(self, tmp_path, capsys, epsilon):
+        # used to exit 0 with an all-zero curve
+        path = bipartite_island(tmp_path)
+        argv = ["oracle", "ls-curve", "-g", str(path), "--seed-vertex", "0", "--epsilon", epsilon]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "epsilon must be finite and positive" in err
+
 
 class TestBench:
     def test_table1_small(self, capsys):
@@ -508,6 +518,15 @@ class TestExitCodes:
             ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", "--gamma", "-5", "--beta", "0.5"]
         )
         assert code == 3
+
+    def test_gamma_whose_epsilon_overflows_is_three(self, tmp_path, capsys):
+        # 1/(20*gamma) overflows to inf; this used to print "found": false and exit 0
+        path = bipartite_island(tmp_path)
+        argv = ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", "--gamma", "1e-320"]
+        assert main(argv + ["--beta", "0.5", "--alpha", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "gamma=1e-320" in err
 
     @pytest.mark.parametrize(
         "gamma, beta, name",

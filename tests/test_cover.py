@@ -82,6 +82,8 @@ class TestCoverNeighbors:
             cover_degree(g, 4)
         with pytest.raises(ValueError):
             cover_vertex(0, 3)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            cover_vertex(0, 1.0)
 
 
 class TestConductanceInCover:

@@ -199,6 +199,9 @@ class TestEvoCutDirected:
         g = small_digraph()
         with pytest.raises(ValueError):
             evo_cut_directed(g, 0, 3, 0.1, np.random.default_rng(0))
+        for side in (1.0, 2.0):  # a float side used to fail deep in the cover with a TypeError
+            with pytest.raises(ValueError, match="side must be 1 or 2"):
+                evo_cut_directed(g, 0, side, 0.1, np.random.default_rng(0))
 
     def test_both_skips_degree_zero_side(self):
         # vertex 0 has out-arcs but no in-arcs, so its side-2 copy is isolated;

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pairclust import Graph, bipartiteness, conductance, cut_imbalance, flow_ratio
+from pairclust.cover import cover_cut_and_volume, pair_to_cover_set
 from helpers import random_disjoint_pair, random_undirected
 
 
@@ -97,8 +98,8 @@ class TestVolume:
 
     def test_directed_in_out(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)], directed=True)
-        assert g.vol_out([0]) == 2.0
-        assert g.vol_in([2]) == 2.0
+        assert cover_cut_and_volume(g, pair_to_cover_set([0], []))[1] == 2.0
+        assert cover_cut_and_volume(g, pair_to_cover_set([], [2]))[1] == 2.0
 
 
 class TestCutWeight:
@@ -134,7 +135,7 @@ class TestConductance:
         g = Graph(3, [(0, 1), (1, 2)])
         assert conductance(g, [0]) == 1.0
         assert conductance(g, [0, 1]) == pytest.approx(1.0, abs=1e-12)
-        assert g.boundary_weight([0, 1]) / g.volume([0, 1]) == pytest.approx(1 / 3, abs=1e-12)
+        assert g.cut_weight([0, 1], [2]) / g.volume([0, 1]) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_empty_and_full_rejected(self):
         g = four_cycle()

@@ -108,6 +108,11 @@ class TestPairLabeling:
     def test_empty_sides(self):
         assert pair_labeling(3, [], []).tolist() == [0, 0, 0]
 
+    def test_overlap_rejected(self):
+        # an overlap used to be scored as R: [0, 2, 1, 0]
+        with pytest.raises(ValueError, match="disjoint"):
+            pair_labeling(4, [1, 2], [1])
+
     @pytest.mark.parametrize("l, r, bad", [([-1], [0], -1), ([0], [4], 4), ([5], [], 5)])
     def test_id_outside_range_rejected(self, l, r, bad):
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range \[0, 4\)"):

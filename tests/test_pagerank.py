@@ -65,7 +65,7 @@ class TestDcpush:
         )
         assert "ValueError: dcpush requires positive residual" in done.stderr
 
-    @pytest.mark.parametrize("u, side", [(1, 0), (0, 3)])
+    @pytest.mark.parametrize("u, side", [(1, 0), (0, 3), (1, 1.0), (0, 2.0)])
     def test_side_outside_one_two_rejected(self, u, side):
         # 2*u + side - 1 would name another copy that holds residual: keys 1 and 2
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -147,6 +147,12 @@ class TestApproximatePagerank:
         g = Graph(2, [(0, 1)], directed=True)
         with pytest.raises(ValueError):
             approximate_pagerank_dc(g, 0, 0.5, 1e-3)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0])
+    def test_epsilon_not_finite_and_positive_rejected(self, epsilon):
+        # nan and inf used to make no push and return an empty p
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            AprState(Graph(2, [(0, 1)]), 0, 0.5, epsilon)
 
 
 class TestSimplify:
@@ -298,6 +304,11 @@ class TestLocBipartDc:
         g = Graph(2, [(0, 1)])
         with pytest.raises(ValueError, match="alpha"):
             loc_bipart_dc(g, 0, gamma=10.0, beta_hat=25.0)
+
+    def test_gamma_whose_epsilon_overflows_rejected(self):
+        # 1/(20*gamma) is inf here; it used to run no push and return None
+        with pytest.raises(ValueError, match="gamma=1e-320"):
+            loc_bipart_dc(Graph(2, [(0, 1)]), 0, gamma=1e-320, beta_hat=0.5, alpha=0.5)
 
     def test_invalid_parameters(self):
         g = Graph(2, [(0, 1)])

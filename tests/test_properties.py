@@ -1,5 +1,5 @@
 """Property tests on random small weighted graphs: round push, sweep cut, cover scan,
-the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
+the pair volume rule, the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
 parse, the flow-matrix loader and the CLI's exit codes on arbitrary graph files."""
 
 import contextlib
@@ -8,10 +8,11 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pairclust import (
@@ -20,6 +21,7 @@ from pairclust import (
     Graph,
     ParseError,
     bipartiteness,
+    build_run_result,
     esp,
     esp_step,
     exact_pagerank,
@@ -37,6 +39,7 @@ from pairclust.cover import (
     cover_degree,
     cover_degrees,
     cover_rows,
+    pair_to_cover_set,
     total_cover_volume,
 )
 from pairclust.oracle import dense_cover_adjacency
@@ -134,6 +137,22 @@ def test_cover_scan_matches_dense_cover(g, data):
     tol = 1e-12 * max(dense_vol, 1.0)
     assert math.isclose(vol, dense_vol, rel_tol=1e-12, abs_tol=tol)
     assert math.isclose(cut, dense_cut, rel_tol=1e-12, abs_tol=tol)
+
+
+@settings(SETTINGS, max_examples=120)
+@given(g=st.one_of(graphs(), digraphs()), data=st.data())
+def test_pair_measures_read_one_volume_rule(g, data):
+    # (L, R) is the cover set L1 u R2: the RunResult volume, the cover scan and beta / F
+    # all read one volume, summed over L and then R, so the volumes are bit-equal
+    side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    l = [v for v in range(g.n) if side[v] == 1]
+    r = [v for v in range(g.n) if side[v] == 2]
+    cut, vol = cover_cut_and_volume(g, pair_to_cover_set(l, r))
+    assume(0 < vol < total_cover_volume(g))  # so conductance_in_cover is defined
+    result = build_run_result(g, "pair", 0, {}, SimpleNamespace(l=l, r=r), 0.0)
+    assert result.metrics["volume"] == vol
+    ratio = result.metrics["flow_ratio" if g.directed else "beta"]
+    assert abs(ratio - cut / vol) <= 1e-12
 
 
 def _with_isolated_vertex(g):
