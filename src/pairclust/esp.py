@@ -10,20 +10,25 @@ incremental neighbor masses. A sample returns only its final set; sets are
 measured (by `cover_cut_and_volume`, through the reduction to (L, R)) only by
 the cleanup-bound check.
 
-The superlevel set and the neighbor-mass update of a step have two forms with
-the same law: a loop over the tracked dict, which is the reference and runs on
-small sets, and a numpy form for large ones, which reads the dict into arrays,
-compares Q against the threshold in one pass and applies the changed keys'
-rows as signed sums. Both draw nothing from the rng, so the walker moves and
-the rng stream are the same whichever form runs.
+A state has two forms with the same law. A sample starts in dict form: a dict
+of neighbor masses and a set of members, stepped by a loop over the tracked
+keys, which is the reference. Once it tracks `_VECTOR_MIN_KEYS` keys it is
+converted, once, to array form: sorted keys with aligned neighbor masses,
+membership flags and cover degrees, which each later step of the sample
+updates in place. An array step compares Q against the threshold in one pass
+and adds the changed keys' rows as signed sums. Both forms draw nothing from
+the rng, so the walker moves and the rng stream are the same whichever form
+runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .cover import (
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, flow_ratio
+from .graph import Graph, flow_ratio, sorted_lookup
 
 __all__ = [
     "EspState",
@@ -52,16 +57,46 @@ __all__ = [
 # Neighbor-mass residues below this are treated as exact zeros when pruning.
 _MASS_EPS = 1e-12
 
-# Steps 3-4 take the numpy form once this many keys are tracked (members plus
-# boundary). On the table2 digraph the numpy form wins from about 64 keys on;
-# at 128 its per-key int64/float64 arrays are at least 1 KiB, so numpy's cache
-# of freed small buffers (up to 7 per byte size under 1 KiB) does not pin
-# memory for every set size the process passes through.
+# A sample's state takes the array form once this many keys are tracked
+# (members plus boundary). On the table2 digraph the numpy step wins from
+# about 64 keys on; at 128 its per-key int64/float64 arrays are at least
+# 1 KiB, so numpy's cache of freed small buffers (up to 7 per byte size under
+# 1 KiB) does not pin memory for every set size the process passes through.
 _VECTOR_MIN_KEYS = 128
 
-# Changed keys whose cover rows the numpy form gathers at once. Bounds the
+# Changed keys whose cover rows the array step gathers at once. Bounds the
 # step's temporaries, which otherwise grow with the changed volume.
 _GATHER_CHUNK = 256
+
+
+class _TrackedArrays(Mapping):
+    """The array form of a state's tracked keys; as a mapping, key -> neighbor mass.
+
+    `ids` holds the tracked cover keys (members and boundary) in increasing
+    order. `mass`, `inside` (1.0 for a member, 0.0 otherwise) and `deg` (the
+    cover degree) are aligned with it. Positions come from `sorted_lookup`,
+    and `len` is O(1).
+    """
+
+    __slots__ = ("ids", "mass", "inside", "deg")
+
+    def __init__(self, ids: np.ndarray, mass: np.ndarray, inside: np.ndarray, deg: np.ndarray):
+        self.ids = ids
+        self.mass = mass
+        self.inside = inside
+        self.deg = deg
+
+    def __getitem__(self, key: int) -> float:
+        at, hit = sorted_lookup(self.ids, key)
+        if not hit:
+            raise KeyError(key)
+        return float(self.mass[at])
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
 class EspState:
@@ -69,17 +104,28 @@ class EspState:
 
     `nbr_mass[y]` is the total edge weight from y into the current set, kept
     for every member and every boundary vertex. The walker is always a member
-    of the current set.
+    of the current set. In dict form `nbr_mass` is a dict and the members are
+    a set; in array form (`members` passed as None) `nbr_mass` is a mapping
+    over sorted arrays that also holds the membership flags. `members` reads
+    the current set in either form.
     """
 
-    __slots__ = ("graph", "members", "walker", "nbr_mass", "vol")
+    __slots__ = ("graph", "_members", "walker", "nbr_mass", "vol")
 
-    def __init__(self, g: Graph, members: set, walker: int, nbr_mass: dict, vol: float):
+    def __init__(self, g: Graph, members: set | None, walker: int, nbr_mass, vol: float):
         self.graph = g
-        self.members = members
+        self._members = members
         self.walker = walker
         self.nbr_mass = nbr_mass
         self.vol = vol
+
+    @property
+    def members(self) -> frozenset:
+        """The current set, as a snapshot."""
+        if self._members is None:
+            t = self.nbr_mass
+            return frozenset(t.ids[t.inside > 0].tolist())
+        return frozenset(self._members)
 
     @classmethod
     def from_seed(cls, g: Graph, seed_key: int) -> "EspState":
@@ -99,13 +145,21 @@ class EspState:
                 nbr_mass[nb] = nbr_mass.get(nb, 0.0) + w
         return cls(g, members, walker, nbr_mass, vol)
 
+    def _lookup(self, key: int) -> tuple[float, float]:
+        """(neighbor mass, 1.0 if a member else 0.0) of a cover key, in either form."""
+        if self._members is not None:
+            return self.nbr_mass.get(key, 0.0), 1.0 if key in self._members else 0.0
+        t = self.nbr_mass
+        at, hit = sorted_lookup(t.ids, key)
+        return (float(t.mass[at]), float(t.inside[at])) if hit else (0.0, 0.0)
+
     def _q(self, key: int) -> float:
         """Q(key, S): one lazy-walk-step probability of landing in the current set."""
         deg = cover_degree(self.graph, key)
-        inside = 1.0 if key in self.members else 0.0
+        mass, inside = self._lookup(key)
         if deg <= 0:
             return inside
-        return 0.5 * inside + 0.5 * self.nbr_mass.get(key, 0.0) / deg
+        return 0.5 * inside + 0.5 * mass / deg
 
 
 def esp_step(state: EspState, rng) -> EspState:
@@ -113,12 +167,14 @@ def esp_step(state: EspState, rng) -> EspState:
 
     Work per step is proportional to the volume of the current set plus its
     boundary, independent of the graph size. Steps 3-4 (the superlevel set and
-    the neighbor-mass update) have two forms with the same law and the same
-    rng draws: a dict loop, which is the reference and runs while fewer than
-    `_VECTOR_MIN_KEYS` keys are tracked, and a numpy form for larger sets.
-    Both give the same set from the same state. With integer weights they
-    give identical states; with other weights the neighbor masses and the
-    volume may differ in the last bits, because they sum in another order.
+    the neighbor-mass update) run on the state's form: the dict loop, which is
+    the reference, while fewer than `_VECTOR_MIN_KEYS` keys are tracked, and
+    the array step from then on. The first step that finds the threshold
+    reached converts the state to arrays; the state keeps that form for the
+    rest of its sample. Both forms give the same set from the same state and
+    take the same rng draws. With integer weights they give identical states;
+    with other weights the neighbor masses and the volume may differ in the
+    last bits, because they sum in another order.
     """
     g = state.graph
 
@@ -135,13 +191,15 @@ def esp_step(state: EspState, rng) -> EspState:
     u = qx * (1.0 - rng.random())
 
     # 3-4. superlevel set of Q at the threshold, then the neighbor masses and volume
-    if len(state.nbr_mass) >= _VECTOR_MIN_KEYS:
+    if state._members is not None and len(state.nbr_mass) >= _VECTOR_MIN_KEYS:
+        _to_arrays(state)
+    if state._members is None:
         _update_vector(state, u)
     else:
         _update_dict(state, u)
 
     state.walker = x
-    if x not in state.members:
+    if not state._lookup(x)[1]:
         raise RuntimeError("coupling invariant violated: walker left the evolving set")
     return state
 
@@ -149,7 +207,7 @@ def esp_step(state: EspState, rng) -> EspState:
 def _update_dict(state: EspState, u: float):
     """Steps 3-4 as a loop over the tracked keys; the reference form."""
     g = state.graph
-    members = state.members
+    members = state._members
     nbr_mass = state.nbr_mass
 
     # 3. superlevel set of Q at the threshold
@@ -185,75 +243,87 @@ def _update_dict(state: EspState, u: float):
         ]
         for key in stale:
             del nbr_mass[key]
-    state.members = new_members
+    state._members = new_members
+
+
+def _to_arrays(state: EspState):
+    """Move a dict-form state to the array form; runs at most once per sample."""
+    nbr_mass = state.nbr_mass
+    size = len(nbr_mass)
+    ids = np.fromiter(nbr_mass, np.int64, size)
+    order = np.argsort(ids)
+    ids = ids[order]
+    mass = np.fromiter(nbr_mass.values(), np.float64, size)[order]
+    inside = np.fromiter(map(state._members.__contains__, ids.tolist()), np.float64, size)
+    state.nbr_mass = _TrackedArrays(ids, mass, inside, cover_degrees(state.graph, ids))
+    state._members = None
 
 
 def _update_vector(state: EspState, u: float):
-    """Steps 3-4 on arrays read out of the tracked keys; same law as `_update_dict`.
+    """Steps 3-4 in place on the array form; same law as `_update_dict`.
 
-    Q comes from one cover-degree gather, and one comparison gives each key a
-    sign: +1 joins the set, -1 leaves it, 0 stays. A step that changes no
-    member ends there. The changed keys' cover rows are gathered
-    `_GATHER_CHUNK` keys at a time, signed and summed per neighbor, and the
-    sums go back into the dict. Q is computed with the reference's floating
-    point operations (the one swapped addition commutes exactly), so both
-    forms pick the same set. Outside the zero-degree case no array is bool:
-    a bool array of fewer than 1024 keys would land in numpy's cache of
-    small buffers (see `_VECTOR_MIN_KEYS`).
+    Q comes from the cached cover degrees, and one comparison gives each
+    tracked key a sign: +1 joins the set, -1 leaves it, 0 stays. A step that
+    changes no member ends there. Otherwise the changed keys' flags flip and
+    their signed degrees go into the volume. Their cover rows are gathered
+    `_GATHER_CHUNK` keys at a time, signed, summed per neighbor and added at
+    the neighbors' positions; a neighbor not yet tracked is first inserted in
+    key order with mass 0. When a key left, the reference's prune follows.
+    Q is computed with the reference's floating point operations (the one
+    swapped addition commutes exactly), so both forms pick the same set.
+    Outside the zero-degree case no array over the tracked keys is bool: a
+    bool array of fewer than 1024 keys would land in numpy's cache of small
+    buffers (see `_VECTOR_MIN_KEYS`), so the prune selects on a float score.
     """
     g = state.graph
-    members = state.members
-    nbr_mass = state.nbr_mass
-    size = len(nbr_mass)
+    t = state.nbr_mass
 
     # 3. superlevel set of Q at the threshold
-    keys = np.fromiter(nbr_mass, np.int64, size)
-    mass = np.fromiter(nbr_mass.values(), np.float64, size)
-    inside = np.fromiter(map(members.__contains__, nbr_mass), np.float64, size)
-    deg = cover_degrees(g, keys)
-    if deg.min() > 0:
-        sign = 0.5 * mass
-        sign /= deg
-        sign += 0.5 * inside
+    if t.deg.min() > 0:
+        sign = 0.5 * t.mass
+        sign /= t.deg
+        sign += 0.5 * t.inside
     else:  # a zero-degree key (only a start set holds one) has Q = 1 inside, 0 outside
-        positive = deg > 0
-        sign = np.where(positive, 0.5 * inside + 0.5 * mass / np.where(positive, deg, 1.0), inside)
+        positive = t.deg > 0
+        q = 0.5 * t.inside + 0.5 * t.mass / np.where(positive, t.deg, 1.0)
+        sign = np.where(positive, q, t.inside)
     np.greater_equal(sign, u, out=sign)
-    sign -= inside
+    sign -= t.inside
     changed = np.flatnonzero(sign)
     if not changed.size:
         return
-    changed_keys = keys[changed]
     signs = sign[changed]
-    removed = []
-    for key, s in zip(changed_keys.tolist(), signs.tolist()):
-        if s > 0:
-            members.add(key)
-        else:
-            members.discard(key)
-            removed.append(key)
+    t.inside[changed] += signs
+    state.vol += float(t.deg[changed] @ signs)
+    changed_keys = t.ids[changed]
 
     # 4. signed gather of the changed keys' rows, summed per neighbor
-    state.vol += float(deg[changed] @ signs)
-    # candidates for the dict form's prune: keys that leave, keys the sums
-    # below bring to zero, and (only with tiny weights) untouched zero masses
-    near_zero = list(removed)
-    if removed and mass.min() <= _MASS_EPS:
-        near_zero.extend(keys[mass <= _MASS_EPS].tolist())
     for start in range(0, changed.size, _GATHER_CHUNK):
         chunk = slice(start, start + _GATHER_CHUNK)
         nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
         ws *= signs[chunk][owner]
-        touched, at = np.unique(nbrs, return_inverse=True)
-        touched = touched.tolist()
-        sums = np.fromiter(map(nbr_mass.get, touched, repeat(0.0)), np.float64, len(touched))
-        sums += np.bincount(at, weights=ws, minlength=len(touched))
-        nbr_mass.update(zip(touched, sums.tolist()))
-        if removed:
-            near_zero.extend(np.compress(np.abs(sums) <= _MASS_EPS, touched).tolist())
-    for key in set(near_zero):
-        if key not in members and abs(nbr_mass[key]) <= _MASS_EPS:
-            del nbr_mass[key]
+        touched, inverse = np.unique(nbrs, return_inverse=True)
+        at, held = sorted_lookup(t.ids, touched)
+        new = ~held
+        if new.any():
+            ins = at[new]
+            fresh = touched[new]
+            t.ids = np.insert(t.ids, ins, fresh)
+            t.mass = np.insert(t.mass, ins, 0.0)
+            t.inside = np.insert(t.inside, ins, 0.0)
+            t.deg = np.insert(t.deg, ins, cover_degrees(g, fresh))
+            at = at + np.cumsum(new) - new
+        t.mass[at] += np.bincount(inverse, weights=ws, minlength=touched.size)
+
+    # the reference's prune: drop non-members whose mass is a zero residue
+    if signs.min() < 0:
+        score = np.abs(t.mass)
+        score -= _MASS_EPS
+        np.maximum(score, t.inside, out=score)  # a member scores 1
+        np.maximum(score, 0.0, out=score)
+        keep = np.flatnonzero(score)
+        if keep.size < t.ids.size:
+            t.ids, t.mass, t.inside, t.deg = t.ids[keep], t.mass[keep], t.inside[keep], t.deg[keep]
 
 
 def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
@@ -262,12 +332,21 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
     Returns the final set only. Intermediate sets are not measured, because
     the directed search turns only the final set into a pair.
     """
+    t = _as_count(t, "t")
     if t < 0:
         raise ValueError("step count must be nonnegative")
     state = EspState.from_seed(g, seed_key)
     for _ in range(t):
         esp_step(state, rng)
     return frozenset(state.members)
+
+
+def _as_count(value, name: str) -> int:
+    """An integer count (numpy integers included) as an int; ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def steps_for_target_flow(phi: float) -> int:
@@ -335,9 +414,9 @@ def evo_cut_directed(
         raise ValueError("side must be 1, 2 or 'both'")
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
-    if attempts < 1:
+    if _as_count(attempts, "attempts") < 1:
         raise ValueError("attempts must be at least 1")
-    t = steps if steps is not None else steps_for_target_flow(phi)
+    t = _as_count(steps, "steps") if steps is not None else steps_for_target_flow(phi)
     if t < 1:
         raise ValueError("step count must be at least 1")
     best = None

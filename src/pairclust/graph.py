@@ -28,17 +28,22 @@ MAX_VERTICES = math.isqrt(int(np.iinfo(np.int64).max))
 def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Normalize a vertex collection to a sorted, deduplicated int64 array.
 
-    Raises ValueError for ids outside [0, n).
+    Raises ValueError for ids that are not integer values (a fractional or
+    non-finite float, a bool array, or anything else not numeric) and for ids
+    outside [0, n). An integer array passes on its dtype alone.
     """
-    if isinstance(vertices, np.ndarray):
-        arr = vertices.astype(np.int64, copy=False)
-    else:
-        arr = np.fromiter(vertices, dtype=np.int64)
+    arr = vertices if isinstance(vertices, np.ndarray) else np.asarray(list(vertices))
+    if arr.dtype.kind == "f":
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            raise ValueError(f"vertex id {arr[~whole][0]} is not an integer")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, not {arr.dtype}")
     ids = np.unique(arr)
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"vertex id {bad} out of range [0, {n})")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray):

@@ -117,5 +117,9 @@ def esp_state_from_set(g: Graph, keys, rng) -> EspState:
 
 
 def clone_state(state: EspState) -> EspState:
-    """An independent copy of an evolving-set state."""
-    return EspState(state.graph, set(state.members), state.walker, dict(state.nbr_mass), state.vol)
+    """An independent copy of an evolving-set state, in the form it is in."""
+    mass = state.nbr_mass
+    if isinstance(mass, dict):
+        return EspState(state.graph, set(state.members), state.walker, dict(mass), state.vol)
+    arrays = type(mass)(mass.ids.copy(), mass.mass.copy(), mass.inside.copy(), mass.deg.copy())
+    return EspState(state.graph, None, state.walker, arrays, state.vol)

@@ -106,6 +106,16 @@ class TestGenerateSample:
         with pytest.raises(ValueError):
             generate_sample(g, cover_vertex(0, 2), 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("t", [1.5, float("inf"), None])
+    def test_non_integer_step_count_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            generate_sample(small_digraph(), cover_vertex(0, 1), t, np.random.default_rng(0))
+
+    def test_numpy_integer_step_count_accepted(self):
+        g = small_digraph()
+        a = generate_sample(g, cover_vertex(0, 1), np.int64(5), np.random.default_rng(3))
+        assert a == generate_sample(g, cover_vertex(0, 1), 5, np.random.default_rng(3))
+
     def test_determinism_under_fixed_seed(self):
         g = random_directed(np.random.default_rng(11), 15, p=0.2)
         a = generate_sample(g, cover_vertex(0, 1), 12, np.random.default_rng(123))
@@ -228,6 +238,31 @@ class TestEvoCutDirected:
         for attempts in (0, -1):
             with pytest.raises(ValueError, match="attempts"):
                 evo_cut_directed(g, 0, "both", 0.1, np.random.default_rng(0), attempts=attempts)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"steps": 2.5}, "steps"),
+            ({"steps": float("nan")}, "steps"),
+            ({"steps": 2.0}, "steps"),
+            ({"attempts": 2.5}, "attempts"),
+            ({"attempts": "2"}, "attempts"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, kwargs, name):
+        # these used to fail in range() with a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            evo_cut_directed(small_digraph(), 0, 1, 0.1, np.random.default_rng(0), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = small_digraph()
+        a = evo_cut_directed(g, 0, 1, 0.1, np.random.default_rng(7), steps=3, attempts=2)
+        b = evo_cut_directed(
+            g, 0, 1, 0.1, np.random.default_rng(7), steps=np.int64(3), attempts=np.int32(2)
+        )
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.l.tolist() == b.l.tolist() and a.r.tolist() == b.r.tolist()
 
     def test_determinism(self):
         g = random_directed(np.random.default_rng(5), 20, p=0.2)

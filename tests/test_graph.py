@@ -175,6 +175,14 @@ class TestBipartiteness:
                 continue
             assert bipartiteness(g, l, r) == pytest.approx(bipartiteness(g, r, l), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "l, r", [(np.array([0.7]), [1]), ([0], [1.5]), (np.array([True]), [1]), (["0"], [1])]
+    )
+    def test_non_integer_ids_rejected(self, l, r):
+        # np.array([0.7]) used to be read as vertex 0 and give 0.5
+        with pytest.raises(ValueError, match="not an integer|must be integers"):
+            bipartiteness(four_cycle(), l, r)
+
     def test_overlap_and_empty_rejected(self):
         g = four_cycle()
         with pytest.raises(ValueError):

@@ -113,6 +113,22 @@ class TestPairLabeling:
         with pytest.raises(ValueError, match="disjoint"):
             pair_labeling(4, [1, 2], [1])
 
+    @pytest.mark.parametrize(
+        "l, bad",
+        [(np.array([1.9]), "1.9"), ([1.9], "1.9"), ([float("nan")], "nan"), (np.array([0.5, 2.0]), "0.5")],
+    )
+    def test_fractional_id_rejected(self, l, bad):
+        # a fractional id used to be truncated: [1.9] labelled vertex 1
+        with pytest.raises(ValueError, match=f"vertex id {bad} is not an integer"):
+            pair_labeling(4, l, [3])
+
+    def test_bool_ids_rejected(self):
+        with pytest.raises(ValueError, match="must be integers, not bool"):
+            pair_labeling(4, np.array([False, True]), [3])
+
+    def test_integral_float_ids_accepted(self):
+        assert pair_labeling(4, np.array([1.0]), [3.0]).tolist() == [0, 1, 0, 2]
+
     @pytest.mark.parametrize("l, r, bad", [([-1], [0], -1), ([0], [4], 4), ([5], [], 5)])
     def test_id_outside_range_rejected(self, l, r, bad):
         with pytest.raises(ValueError, match=rf"vertex id {bad} out of range \[0, 4\)"):

@@ -268,6 +268,59 @@ def test_esp_step_forms_agree(start):
         state = by_dict
 
 
+def _assert_same_state(by_array, by_dict, integer):
+    assert by_array.walker == by_dict.walker
+    assert by_array.members == by_dict.members
+    assert len(by_array.nbr_mass) == len(by_dict.nbr_mass)
+    assert by_array.nbr_mass.keys() == by_dict.nbr_mass.keys()
+    if integer:
+        assert by_array.nbr_mass == by_dict.nbr_mass
+        assert by_array.vol == by_dict.vol
+    else:
+        for key, mass in by_dict.nbr_mass.items():
+            assert math.isclose(by_array.nbr_mass[key], mass, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(by_array.vol, by_dict.vol, rel_tol=1e-12)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(start=esp_starts())
+def test_esp_array_state_carried_across_steps(start):
+    """The array form carries its own state from step to step and stays the dict reference's twin."""
+    state, integer, steps, seed, chunk = start
+    by_dict, by_array = clone_state(state), clone_state(state)
+    to_arrays = mock.Mock(wraps=esp._to_arrays)
+    with mock.patch.object(esp, "_to_arrays", to_arrays):
+        for step in range(steps + 4):
+            by_dict = _step_with(by_dict, [seed, step], 2**62, chunk)
+            with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=0, _GATHER_CHUNK=chunk):
+                esp_step(by_array, np.random.default_rng([seed, step]))
+            assert isinstance(by_dict.nbr_mass, dict)
+            assert not isinstance(by_array.nbr_mass, dict)
+            _assert_same_state(by_array, by_dict, integer)
+    assert to_arrays.call_count == 1
+
+
+def test_esp_array_state_prunes_like_dict():
+    """A shrinking start set, stepped in array form throughout, drops the keys the reference drops."""
+    rng = np.random.default_rng(11)
+    mask = rng.random((60, 60)) < 0.03
+    np.fill_diagonal(mask, False)
+    u, v = np.nonzero(mask)
+    g = Graph.from_arrays(62, u, v, rng.integers(1, 4, u.size).astype(float), directed=True)
+    # a sparse share of the cover, which sheds keys, and the zero-degree keys of 60 and 61
+    start = set(np.flatnonzero(rng.random(2 * g.n) < 0.1).tolist()) | {120, 121, 122, 123}
+    state = esp_state_from_set(g, start, rng)
+    by_dict, by_array = clone_state(state), clone_state(state)
+    sizes = [len(state.nbr_mass)]
+    for step in range(40):
+        by_dict = _step_with(by_dict, [5, step], 2**62, esp._GATHER_CHUNK)
+        by_array = _step_with(by_array, [5, step], 0, 7)
+        _assert_same_state(by_array, by_dict, True)
+        sizes.append(len(by_array.nbr_mass))
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # some step pruned
+    assert {120, 121, 122, 123} <= by_array.members  # zero-degree members never leave
+
+
 def _dense_flow_graph(n, rows):
     """The flow digraph by definition: dense count matrix, one arc per unbalanced pair."""
     m = np.zeros((n, n))
