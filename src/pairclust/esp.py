@@ -43,7 +43,7 @@ from .cover import (
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, flow_ratio, sorted_lookup
+from .graph import Graph, flow_ratio, sorted_lookup, sorted_merge
 
 __all__ = [
     "EspState",
@@ -75,7 +75,7 @@ class _TrackedArrays(Mapping):
     `ids` holds the tracked cover keys (members and boundary) in increasing
     order. `mass`, `inside` (1.0 for a member, 0.0 otherwise) and `deg` (the
     cover degree) are aligned with it. Positions come from `sorted_lookup`,
-    and `len` is O(1).
+    new keys enter through `sorted_merge`, and `len` is O(1).
     """
 
     __slots__ = ("ids", "mass", "inside", "deg")
@@ -303,16 +303,10 @@ def _update_vector(state: EspState, u: float):
         nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
         ws *= signs[chunk][owner]
         touched, inverse = np.unique(nbrs, return_inverse=True)
-        at, held = sorted_lookup(t.ids, touched)
-        new = ~held
-        if new.any():
-            ins = at[new]
-            fresh = touched[new]
-            t.ids = np.insert(t.ids, ins, fresh)
-            t.mass = np.insert(t.mass, ins, 0.0)
-            t.inside = np.insert(t.inside, ins, 0.0)
-            t.deg = np.insert(t.deg, ins, cover_degrees(g, fresh))
-            at = at + np.cumsum(new) - new
+        (t.ids, t.mass, t.inside, t.deg), at, added = sorted_merge(
+            touched, t.ids, t.mass, t.inside, t.deg
+        )
+        t.deg[added] = cover_degrees(g, t.ids[added])
         t.mass[at] += np.bincount(inverse, weights=ws, minlength=touched.size)
 
     # the reference's prune: drop non-members whose mass is a zero residue

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, sorted_lookup
+from .graph import MAX_VERTICES, Graph, _edge_arrays, sorted_lookup
 
 __all__ = [
     "ParseError",
@@ -134,7 +134,7 @@ def _bulk_edges(path):
 
 def _line_edges(path):
     """The reference parser: one line at a time, raising a ParseError that names the line."""
-    us, vs, ws = [], [], []
+    edges = []
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -150,29 +150,17 @@ def _line_edges(path):
             raise ParseError(f"{path}:{lineno}: self-loop at vertex {u}")
         if not 0 < w < math.inf:
             raise ParseError(f"{path}:{lineno}: edge weight must be finite and > 0, got {w}")
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    return (
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws, dtype=np.float64),
-    )
-
-
-def _canonical_edges(g: Graph):
-    """Merged edges in canonical sorted order: (u, v, w) with u < v if undirected."""
-    for u in range(g.n):
-        ids, ws = g.neighbors(u)
-        for v, w in zip(ids.tolist(), ws.tolist()):
-            if g.directed or v > u:
-                yield u, v, w
+        edges.append((u, v, w))
+    return _edge_arrays(edges)
 
 
 def write_edge_list(g: Graph, path):
-    """Write the canonical sorted edge list; load/write round-trips are byte-stable."""
+    """Write the merged edges sorted by (u, v), u < v if undirected; round trips are byte-stable."""
+    us = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    once = slice(None) if g.directed else us < g.indices
+    edges = zip(us[once].tolist(), g.indices[once].tolist(), g.weights[once].tolist())
     with open(path, "w", encoding="utf-8") as handle:
-        for u, v, w in _canonical_edges(g):
+        for u, v, w in edges:
             handle.write(f"{u} {v} {w!r}\n")
 
 
@@ -265,12 +253,19 @@ def load_names(path) -> dict:
 
 
 def graph_fingerprint(g: Graph) -> dict:
-    """Stable identity of a graph: n, merged edge count, and a content hash."""
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(f"{g.n}:{int(g.directed)}".encode())
-    for u, v, w in _canonical_edges(g):
-        digest.update(f"{u},{v},{w!r};".encode())
-    return {"n": g.n, "m": g.edge_count, "hash": digest.hexdigest()}
+    """Stable identity of a graph: n, merged edge count, and a content hash.
+
+    The hash is blake2b over n, the directed flag and the out-row CSR bytes (`indptr`,
+    `indices` as <i8, `weights` as <f8), computed once per graph and kept on it.
+    Each call returns a new dict, so editing one cannot change the kept value.
+    """
+    kept = g._fingerprint
+    if kept is None:
+        digest = hashlib.blake2b(f"{g.n}:{int(g.directed)}".encode(), digest_size=8)
+        for arr, dtype in ((g.indptr, "<i8"), (g.indices, "<i8"), (g.weights, "<f8")):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype))
+        kept = g._fingerprint = {"n": g.n, "m": g.edge_count, "hash": digest.hexdigest()}
+    return dict(kept)
 
 
 def default_labels_path(graph_path) -> Path:

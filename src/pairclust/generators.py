@@ -101,7 +101,7 @@ class CbmPlusSpec:
     eta_prime: float = 1.0
 
     def validate(self):
-        CbmSpec(self.k, self.n, self.p, self.q, self.eta).validate()
+        self.cbm().validate()
         if self.n_prime < 1:
             raise ValueError("n_prime must be at least 1")
         for name, prob in (
@@ -192,14 +192,8 @@ def gen_sbm(spec: SbmSpec, seed: int):
         _cross_pairs(0, n1, 2 * n1, n3, spec.q2, rng),
         _cross_pairs(n1, n1, 2 * n1, n3, spec.q2, rng),
     ]
-    u = np.concatenate([b[0] for b in blocks])
-    v = np.concatenate([b[1] for b in blocks])
-    total = 2 * n1 + n3
-    g = Graph.from_arrays(total, u, v, directed=False)
-    labels = np.full(total, 2, dtype=np.int64)
-    labels[:n1] = 0
-    labels[n1 : 2 * n1] = 1
-    return g, labels
+    g = _graph(2 * n1 + n3, blocks, directed=False)
+    return g, np.repeat(np.arange(3, dtype=np.int64), [n1, n1, n3])
 
 
 def gen_cbm(spec: CbmSpec, seed: int):
@@ -212,28 +206,26 @@ def gen_cbm(spec: CbmSpec, seed: int):
     if spec.k < 3:
         raise ValueError("gen_cbm requires k >= 3")
     rng = np.random.default_rng(seed)
-    us, vs = _cbm_arcs(spec, rng)
-    total = spec.k * spec.n
-    g = Graph.from_arrays(total, np.concatenate(us), np.concatenate(vs), directed=True)
-    labels = np.repeat(np.arange(spec.k, dtype=np.int64), spec.n)
-    return g, labels
+    g = _graph(spec.k * spec.n, _cbm_arcs(spec, rng), directed=True)
+    return g, np.repeat(np.arange(spec.k, dtype=np.int64), spec.n)
 
 
-def _cbm_arcs(spec: CbmSpec, rng):
-    us, vs = [], []
+def _cbm_arcs(spec: CbmSpec, rng) -> list:
+    """The CBM's arcs as (tails, heads) array pairs, sampled cluster by cluster."""
+    arcs = []
     n = spec.n
     for c in range(spec.k):
-        a, b = _intra_pairs(c * n, n, spec.p, rng)
-        t, h = _orient(a, b, 0.5, rng)
-        us.append(t)
-        vs.append(h)
+        arcs.append(_orient(*_intra_pairs(c * n, n, spec.p, rng), 0.5, rng))
     for c in range(spec.k):
         nxt = (c + 1) % spec.k
-        a, b = _cross_pairs(c * n, n, nxt * n, n, spec.q, rng)
-        t, h = _orient(a, b, spec.eta, rng)
-        us.append(t)
-        vs.append(h)
-    return us, vs
+        arcs.append(_orient(*_cross_pairs(c * n, n, nxt * n, n, spec.q, rng), spec.eta, rng))
+    return arcs
+
+
+def _graph(n: int, blocks: list, directed: bool) -> Graph:
+    """The graph on n vertices whose edges are a list of (u, v) array pairs."""
+    u, v = (np.concatenate(side) for side in zip(*blocks))
+    return Graph.from_arrays(n, u, v, directed=directed)
 
 
 def gen_cbm_plus(spec: CbmPlusSpec, seed: int):
@@ -246,35 +238,19 @@ def gen_cbm_plus(spec: CbmPlusSpec, seed: int):
     if spec.k < 3:
         raise ValueError("gen_cbm_plus requires k >= 3")
     rng = np.random.default_rng(seed)
-    us, vs = _cbm_arcs(spec.cbm(), rng)
+    arcs = _cbm_arcs(spec.cbm(), rng)
 
     n, np_, k = spec.n, spec.n_prime, spec.k
     lo_a = k * n
     lo_b = k * n + np_
     for lo in (lo_a, lo_b):
-        a, b = _intra_pairs(lo, np_, spec.p, rng)
-        t, h = _orient(a, b, 0.5, rng)
-        us.append(t)
-        vs.append(h)
-    a, b = _cross_pairs(lo_a, np_, lo_b, np_, spec.q1_prime, rng)
-    t, h = _orient(a, b, 0.5, rng)
-    us.append(t)
-    vs.append(h)
+        arcs.append(_orient(*_intra_pairs(lo, np_, spec.p, rng), 0.5, rng))
+    arcs.append(_orient(*_cross_pairs(lo_a, np_, lo_b, np_, spec.q1_prime, rng), 0.5, rng))
     # local cycle through the first cluster: C1 feeds the first extra cluster,
     # the second extra cluster feeds back into C1
     a, b = _cross_pairs(lo_a, np_, 0, n, spec.q2_prime, rng)
-    t, h = _orient(b, a, spec.eta_prime, rng)
-    us.append(t)
-    vs.append(h)
-    a, b = _cross_pairs(lo_b, np_, 0, n, spec.q2_prime, rng)
-    t, h = _orient(a, b, spec.eta_prime, rng)
-    us.append(t)
-    vs.append(h)
+    arcs.append(_orient(b, a, spec.eta_prime, rng))
+    arcs.append(_orient(*_cross_pairs(lo_b, np_, 0, n, spec.q2_prime, rng), spec.eta_prime, rng))
 
-    total = k * n + 2 * np_
-    g = Graph.from_arrays(total, np.concatenate(us), np.concatenate(vs), directed=True)
-    labels = np.repeat(np.arange(k, dtype=np.int64), n)
-    labels = np.concatenate(
-        [labels, np.full(np_, k, dtype=np.int64), np.full(np_, k + 1, dtype=np.int64)]
-    )
-    return g, labels
+    g = _graph(k * n + 2 * np_, arcs, directed=True)
+    return g, np.repeat(np.arange(k + 2, dtype=np.int64), [n] * k + [np_, np_])

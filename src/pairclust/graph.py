@@ -62,6 +62,27 @@ def sorted_lookup(haystack: np.ndarray, needles: np.ndarray):
     return at, haystack[np.minimum(at, haystack.size - 1)] == needles
 
 
+def sorted_merge(needles: np.ndarray, keys: np.ndarray, *aligned: np.ndarray):
+    """Insert the sorted unique `needles` missing from sorted `keys`; arrays in `aligned` get 0s.
+
+    Returns (keys, *aligned) merged, each needle's position in them, and the
+    inserted keys' positions, through which every array is filled at once.
+    """
+    at, held = sorted_lookup(keys, needles)
+    if held.all():
+        return (keys, *aligned), at, at[:0]
+    new = ~held
+    at += np.cumsum(new) - new
+    added = at[new]
+    kept = np.ones(keys.size + added.size, dtype=bool)
+    kept[added] = False
+    grown = tuple(np.zeros(kept.size, dtype=arr.dtype) for arr in (keys, *aligned))
+    for out, arr in zip(grown, (keys, *aligned)):
+        out[kept] = arr
+    grown[0][added] = needles[new]
+    return grown, at, added
+
+
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Sum weights of parallel edges. Keys are u*n+v, so (u, v) must be canonical."""
     keys = u * np.int64(n) + v
@@ -76,7 +97,9 @@ class Graph:
     Vertex ids are dense integers in [0, n). All edge weights are strictly
     positive; parallel edges are merged by summing weights and self-loops are
     rejected at construction. Instances are safe to share across threads:
-    every query is pure and the underlying arrays are marked read-only.
+    every query is pure and the underlying arrays are marked read-only. The
+    caches `_fingerprint` and `_vertex_ids` are each filled on first use by one
+    assignment of a value never changed after, so a race builds two equal values.
 
     The adjacency is one CSR (`row_indptr`, `row_indices`, `row_weights`, with
     weighted row degrees `row_degrees`) over the rows a cover vertex reads.
@@ -104,6 +127,8 @@ class Graph:
         "in_degrees",
         "_total_deg",
         "_total_in_deg",
+        "_fingerprint",
+        "_vertex_ids",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple], directed: bool = False):
@@ -187,6 +212,7 @@ class Graph:
         self.in_degrees = deg[side2 : side2 + n]
         self._total_deg = float(self.degrees.sum())
         self._total_in_deg = float(self.in_degrees.sum())
+        self._fingerprint = self._vertex_ids = None
 
     # -- degree / volume -------------------------------------------------
 

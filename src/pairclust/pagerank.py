@@ -25,7 +25,7 @@ from .cover import (
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, bipartiteness, sorted_lookup
+from .graph import Graph, bipartiteness, sorted_lookup, sorted_merge
 
 __all__ = [
     "AprState",
@@ -123,16 +123,10 @@ class AprState:
         nbr_keys, shares, owner = cover_rows(g, self.keys[frontier])
         shares *= ((1.0 - alpha) * ru / (2.0 * du))[owner]
         uniq, inverse = np.unique(nbr_keys, return_inverse=True)
-        at, held = sorted_lookup(self.keys, uniq)
-        new = ~held
-        if new.any():
-            ins = at[new]
-            fresh = uniq[new]
-            self.keys = np.insert(self.keys, ins, fresh)
-            self.p_mass = np.insert(self.p_mass, ins, 0.0)
-            self.r_mass = np.insert(self.r_mass, ins, 0.0)
-            self.deg = np.insert(self.deg, ins, cover_degrees(g, fresh))
-            at = at + np.cumsum(new) - new
+        (self.keys, self.p_mass, self.r_mass, self.deg), at, added = sorted_merge(
+            uniq, self.keys, self.p_mass, self.r_mass, self.deg
+        )
+        self.deg[added] = cover_degrees(g, self.keys[added])
         self.r_mass[at] += np.bincount(inverse, weights=shares, minlength=uniq.size)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cover import conductance_in_cover, pair_to_cover_set
 from .fileio import graph_fingerprint
 from .graph import Graph, as_vertex_array, bipartiteness, cut_imbalance, flow_ratio
@@ -42,7 +44,12 @@ def build_run_result(
     wall_ms: float,
     rng_seed: int | None = None,
 ) -> RunResult:
-    """Assemble a RunResult, recomputing all reported metrics from the graph."""
+    """Assemble a RunResult, recomputing all reported metrics from the graph.
+
+    `graph` is the fingerprint: a hash of the CSR bytes, computed once per graph.
+    `l` and `r` are sorted lists drawn from a per-graph table of vertex-id
+    objects, built on first use, so the results of one graph share them.
+    """
     result = RunResult(
         algorithm=algorithm,
         seed_vertex=seed_vertex,
@@ -54,14 +61,16 @@ def build_run_result(
     )
     if pair is None:
         return result
-    l = [int(v) for v in pair.l]
-    r = [int(v) for v in pair.r]
-    result.l = sorted(l)
-    result.r = sorted(r)
+    l, r = as_vertex_array(g.n, pair.l), as_vertex_array(g.n, pair.r)
+    ids = g._vertex_ids
+    if ids is None:
+        ids = g._vertex_ids = np.arange(g.n).astype(object)
+    result.l = ids[l].tolist()
+    result.r = ids[r].tolist()
     metrics: dict = {}
-    cover_set = pair_to_cover_set(l, r)
+    cover_set = pair_to_cover_set(result.l, result.r)
     metrics["conductance_in_cover"] = conductance_in_cover(g, cover_set)
-    volume = g._pair_volume(as_vertex_array(g.n, l), as_vertex_array(g.n, r))
+    volume = g._pair_volume(l, r)
     if g.directed:
         metrics["flow_ratio"] = flow_ratio(g, l, r)
         metrics["volume"] = volume

@@ -426,6 +426,14 @@ class TestExitCodes:
             main(["cluster-bipartite", "--seed-vertex", "0"])
         assert excinfo.value.code == 1
 
+    def test_abbreviated_option_is_a_usage_error(self, tmp_path, capsys):
+        # `--seed` once matched `--seed-vertex` by prefix and replaced the seed vertex
+        argv = ["cluster-directed", "-g", str(small_digraph(tmp_path)), "--seed-vertex", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--phi", "0.5", "--seed", "2", "--json"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
+
     def test_io_error_is_two(self, capsys):
         code = main(
             [

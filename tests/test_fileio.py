@@ -312,3 +312,56 @@ class TestFingerprint:
         assert fp1 == fp2
         assert fp1["hash"] != fp3["hash"]
         assert fp1["n"] == 3 and fp1["m"] == 2
+
+    def test_hashed_once_per_graph(self, monkeypatch):
+        g = random_undirected(np.random.default_rng(0), 12, weighted=True)
+        calls = []
+        blake2b = fileio.hashlib.blake2b
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(fileio.hashlib, "blake2b", counted)
+        first = graph_fingerprint(g)
+        assert graph_fingerprint(g) == first
+        assert len(calls) == 1
+
+    def test_returns_an_independent_dict(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        first = graph_fingerprint(g)
+        first["hash"] = "edited"
+        first["n"] = 99
+        again = graph_fingerprint(g)
+        assert again == graph_fingerprint(Graph(3, [(0, 1), (1, 2)]))
+        assert again["hash"] != "edited" and again["n"] == 3
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_equal_across_constructors_and_round_trip(self, tmp_path, directed):
+        rng = np.random.default_rng(5)
+        make = random_directed if directed else random_undirected
+        g = make(rng, 10, weighted=True)
+        assert g.n == 1 + int(g.indices.max())  # no trailing isolated vertex to lose
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        once = slice(None) if directed else rows < g.indices
+        edges = zip(rows[once].tolist(), g.indices[once].tolist(), g.weights[once].tolist())
+        built = Graph(g.n, list(edges), directed=directed)
+        arrays = Graph.from_arrays(
+            g.n, rows[once], g.indices[once], g.weights[once], directed=directed
+        )
+        path = tmp_path / "g.edgelist"
+        write_edge_list(g, path)
+        loaded = load_edge_list(path, directed=directed)
+        want = graph_fingerprint(g)
+        assert [graph_fingerprint(h) for h in (built, arrays, loaded)] == [want] * 3
+
+    def test_sensitive_to_isolated_vertex_direction_and_weight(self):
+        edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0)]
+        base = graph_fingerprint(Graph(3, edges))["hash"]
+        changed = [
+            Graph(4, edges),
+            Graph(3, edges, directed=True),
+            Graph(3, edges[:2] + [(2, 0, 1.5)]),
+        ]
+        hashes = {graph_fingerprint(g)["hash"] for g in changed}
+        assert base not in hashes and len(hashes) == 3

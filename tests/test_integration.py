@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from pairclust import evo_cut_directed, flow_ratio, load_flow_matrix, misclassified_ratio
+from pairclust import (
+    Graph,
+    build_run_result,
+    evo_cut_directed,
+    flow_ratio,
+    load_flow_matrix,
+    loc_bipart_dc,
+    misclassified_ratio,
+    run_result_json,
+)
 from pairclust.cli import main
 
 
@@ -88,3 +97,21 @@ def test_flow_matrix_cli_round_trip(tmp_path, capsys):
         flow_ratio(load_flow_matrix(matrix), data["l"], data["r"])
     )
     assert 0.0 <= data["metrics"]["cut_imbalance"] <= 0.5
+
+
+def test_results_of_one_graph_share_vertex_ids():
+    # a 4-cycle and a triangle on ids above 256, which Python does not cache as small ints
+    cycle = [(500, 501), (501, 502), (502, 503), (503, 500), (600, 601), (601, 602), (602, 600)]
+    g = Graph(1000, cycle)
+    results = []
+    for u in (500, 501):
+        pair = loc_bipart_dc(g, u, 20.0, 0.1, alpha=0.3)
+        result = build_run_result(g, "cluster-bipartite", u, {}, pair, 0.0)
+        assert all(type(v) is int for v in result.l + result.r)
+        assert (result.l, result.r) == (sorted(result.l), sorted(result.r))
+        fresh = dict(vars(result), l=sorted(map(int, pair.l)), r=sorted(map(int, pair.r)))
+        assert run_result_json(result) == json.dumps(fresh, indent=2)
+        results.append(result)
+    a, b = results
+    assert (a.l, a.r) == (b.r, b.l) == ([500, 502], [501, 503])
+    assert a.l[0] is b.r[0] and a.r[1] is b.l[1]
