@@ -13,12 +13,12 @@ the cleanup-bound check.
 A state has two forms with the same law. A sample starts in dict form: a dict
 of neighbor masses and a set of members, stepped by a loop over the tracked
 keys, which is the reference. Once it tracks `_VECTOR_MIN_KEYS` keys it is
-converted, once, to array form: sorted keys with aligned neighbor masses,
-membership flags and cover degrees, which each later step of the sample
-updates in place. An array step compares Q against the threshold in one pass
-and adds the changed keys' rows as signed sums. Both forms draw nothing from
-the rng, so the walker moves and the rng stream are the same whichever form
-runs.
+converted, once, to array form: keys in insertion order, positioned by the
+graph's key index, with aligned neighbor masses, membership flags and cover
+degrees, which each later step of the sample updates in place. An array step
+compares Q against the threshold in one pass and adds the changed keys' rows,
+sorted by key so that outputs are unchanged, as signed sums. Both forms draw
+nothing from the rng, so the walker moves and the rng stream are the same.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cover import (
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, flow_ratio, sorted_lookup, sorted_merge
+from .graph import Graph, borrow_key_index, flow_ratio, give_back_key_index
 
 __all__ = [
     "EspState",
@@ -72,23 +72,27 @@ _GATHER_CHUNK = 256
 class _TrackedArrays(Mapping):
     """The array form of a state's tracked keys; as a mapping, key -> neighbor mass.
 
-    `ids` holds the tracked cover keys (members and boundary) in increasing
+    `ids` holds the tracked cover keys (members and boundary) in insertion
     order. `mass`, `inside` (1.0 for a member, 0.0 otherwise) and `deg` (the
-    cover degree) are aligned with it. Positions come from `sorted_lookup`,
-    new keys enter through `sorted_merge`, and `len` is O(1).
+    cover degree) are aligned with it. `index`, a key index borrowed from the
+    graph, holds position + 1 at each tracked key and 0 at every other key.
     """
 
-    __slots__ = ("ids", "mass", "inside", "deg")
+    __slots__ = ("ids", "mass", "inside", "deg", "index")
 
-    def __init__(self, ids: np.ndarray, mass: np.ndarray, inside: np.ndarray, deg: np.ndarray):
-        self.ids = ids
-        self.mass = mass
-        self.inside = inside
-        self.deg = deg
+    def __init__(self, g: Graph, ids, mass, inside, deg):
+        self.ids, self.mass, self.inside, self.deg = ids, mass, inside, deg
+        self.index = borrow_key_index(g)
+        self.index[ids] = np.arange(1, ids.size + 1)
+
+    def position(self, key) -> int:
+        """Position of a tracked key, or -1; a negative, large or non-integer key is untracked."""
+        in_range = isinstance(key, (int, np.integer)) and 0 <= key < self.index.size
+        return self.index.item(key) - 1 if in_range else -1
 
     def __getitem__(self, key: int) -> float:
-        at, hit = sorted_lookup(self.ids, key)
-        if not hit:
+        at = self.position(key)
+        if at < 0:
             raise KeyError(key)
         return float(self.mass[at])
 
@@ -106,7 +110,7 @@ class EspState:
     for every member and every boundary vertex. The walker is always a member
     of the current set. In dict form `nbr_mass` is a dict and the members are
     a set; in array form (`members` passed as None) `nbr_mass` is a mapping
-    over sorted arrays that also holds the membership flags. `members` reads
+    over arrays that also holds the membership flags. `members` reads
     the current set in either form.
     """
 
@@ -150,8 +154,8 @@ class EspState:
         if self._members is not None:
             return self.nbr_mass.get(key, 0.0), 1.0 if key in self._members else 0.0
         t = self.nbr_mass
-        at, hit = sorted_lookup(t.ids, key)
-        return (float(t.mass[at]), float(t.inside[at])) if hit else (0.0, 0.0)
+        at = t.position(key)
+        return (float(t.mass[at]), float(t.inside[at])) if at >= 0 else (0.0, 0.0)
 
     def _q(self, key: int) -> float:
         """Q(key, S): one lazy-walk-step probability of landing in the current set."""
@@ -170,11 +174,12 @@ def esp_step(state: EspState, rng) -> EspState:
     the neighbor-mass update) run on the state's form: the dict loop, which is
     the reference, while fewer than `_VECTOR_MIN_KEYS` keys are tracked, and
     the array step from then on. The first step that finds the threshold
-    reached converts the state to arrays; the state keeps that form for the
-    rest of its sample. Both forms give the same set from the same state and
-    take the same rng draws. With integer weights they give identical states;
-    with other weights the neighbor masses and the volume may differ in the
-    last bits, because they sum in another order.
+    reached converts the state to arrays (keys in insertion order, positioned
+    by the graph's key index; changed keys are sorted by key, so outputs are
+    unchanged), kept for the rest of its sample. Both forms give the same set
+    from the same state and take the same rng draws. With integer weights they
+    give identical states; with other weights the neighbor masses and the
+    volume may differ in the last bits, because they sum in another order.
     """
     g = state.graph
 
@@ -248,14 +253,12 @@ def _update_dict(state: EspState, u: float):
 
 def _to_arrays(state: EspState):
     """Move a dict-form state to the array form; runs at most once per sample."""
-    nbr_mass = state.nbr_mass
+    nbr_mass, g = state.nbr_mass, state.graph
     size = len(nbr_mass)
     ids = np.fromiter(nbr_mass, np.int64, size)
-    order = np.argsort(ids)
-    ids = ids[order]
-    mass = np.fromiter(nbr_mass.values(), np.float64, size)[order]
-    inside = np.fromiter(map(state._members.__contains__, ids.tolist()), np.float64, size)
-    state.nbr_mass = _TrackedArrays(ids, mass, inside, cover_degrees(state.graph, ids))
+    mass = np.fromiter(nbr_mass.values(), np.float64, size)
+    inside = np.fromiter(map(state._members.__contains__, nbr_mass), np.float64, size)
+    state.nbr_mass = _TrackedArrays(g, ids, mass, inside, cover_degrees(g, ids))
     state._members = None
 
 
@@ -264,11 +267,12 @@ def _update_vector(state: EspState, u: float):
 
     Q comes from the cached cover degrees, and one comparison gives each
     tracked key a sign: +1 joins the set, -1 leaves it, 0 stays. A step that
-    changes no member ends there. Otherwise the changed keys' flags flip and
-    their signed degrees go into the volume. Their cover rows are gathered
-    `_GATHER_CHUNK` keys at a time, signed, summed per neighbor and added at
-    the neighbors' positions; a neighbor not yet tracked is first inserted in
-    key order with mass 0. When a key left, the reference's prune follows.
+    changes no member ends there. Otherwise the changed keys, sorted by key so
+    that no sum depends on insertion order, flip their flags and add their
+    signed degrees to the volume. Their cover rows are gathered `_GATHER_CHUNK`
+    keys at a time, signed and added by one `bincount` over the key index's
+    positions (untracked neighbors are appended first, with mass 0). When a
+    key left, the reference's prune follows and renumbers the kept keys.
     Q is computed with the reference's floating point operations (the one
     swapped addition commutes exactly), so both forms pick the same set.
     Outside the zero-degree case no array over the tracked keys is bool: a
@@ -292,6 +296,7 @@ def _update_vector(state: EspState, u: float):
     changed = np.flatnonzero(sign)
     if not changed.size:
         return
+    changed = changed[np.argsort(t.ids[changed])]
     signs = sign[changed]
     t.inside[changed] += signs
     state.vol += float(t.deg[changed] @ signs)
@@ -302,12 +307,14 @@ def _update_vector(state: EspState, u: float):
         chunk = slice(start, start + _GATHER_CHUNK)
         nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
         ws *= signs[chunk][owner]
-        touched, inverse = np.unique(nbrs, return_inverse=True)
-        (t.ids, t.mass, t.inside, t.deg), at, added = sorted_merge(
-            touched, t.ids, t.mass, t.inside, t.deg
-        )
-        t.deg[added] = cover_degrees(g, t.ids[added])
-        t.mass[at] += np.bincount(inverse, weights=ws, minlength=touched.size)
+        new = np.unique(nbrs[t.index[nbrs] == 0])
+        if new.size:  # append them, outside the set with mass 0
+            zeros, size = np.zeros(new.size), t.ids.size
+            t.ids, t.mass, t.inside, t.deg = map(np.concatenate, (
+                (t.ids, new), (t.mass, zeros), (t.inside, zeros), (t.deg, cover_degrees(g, new))
+            ))
+            t.index[new] = np.arange(size + 1, t.ids.size + 1)
+        t.mass += np.bincount(t.index[nbrs] - 1, weights=ws, minlength=t.ids.size)
 
     # the reference's prune: drop non-members whose mass is a zero residue
     if signs.min() < 0:
@@ -317,7 +324,9 @@ def _update_vector(state: EspState, u: float):
         np.maximum(score, 0.0, out=score)
         keep = np.flatnonzero(score)
         if keep.size < t.ids.size:
+            t.index[t.ids] = 0  # then renumber the kept keys
             t.ids, t.mass, t.inside, t.deg = t.ids[keep], t.mass[keep], t.inside[keep], t.deg[keep]
+            t.index[t.ids] = np.arange(1, keep.size + 1)
 
 
 def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
@@ -330,9 +339,13 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
     if t < 0:
         raise ValueError("step count must be nonnegative")
     state = EspState.from_seed(g, seed_key)
-    for _ in range(t):
-        esp_step(state, rng)
-    return frozenset(state.members)
+    try:
+        for _ in range(t):
+            esp_step(state, rng)
+        return state.members
+    finally:
+        if state._members is None:  # the array form holds one of g's key indexes
+            give_back_key_index(g, state.nbr_mass.index, state.nbr_mass.ids)
 
 
 def _as_count(value, name: str) -> int:

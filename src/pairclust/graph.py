@@ -83,6 +83,20 @@ def sorted_merge(needles: np.ndarray, keys: np.ndarray, *aligned: np.ndarray):
     return grown, at, added
 
 
+def borrow_key_index(g: "Graph") -> np.ndarray:
+    """An all-zero int64 array over g's 2n cover keys, from g's pool or newly allocated."""
+    try:
+        return g._key_indexes.pop()
+    except IndexError:
+        return np.zeros(2 * g.n, dtype=np.int64)
+
+
+def give_back_key_index(g: "Graph", index: np.ndarray, keys: np.ndarray):
+    """Zero `index` at `keys`, the only entries its borrower set, and return it to g's pool."""
+    index[keys] = 0
+    g._key_indexes.append(index)
+
+
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Sum weights of parallel edges. Keys are u*n+v, so (u, v) must be canonical."""
     keys = u * np.int64(n) + v
@@ -100,6 +114,9 @@ class Graph:
     every query is pure and the underlying arrays are marked read-only. The
     caches `_fingerprint` and `_vertex_ids` are each filled on first use by one
     assignment of a value never changed after, so a race builds two equal values.
+    `_key_indexes` pools zeroed int64 arrays over the 2n cover keys, 16 bytes per
+    vertex per concurrent borrower from its first borrow; borrowers zero what they
+    set before giving back, and atomic `list.pop`/`append` give each query its own.
 
     The adjacency is one CSR (`row_indptr`, `row_indices`, `row_weights`, with
     weighted row degrees `row_degrees`) over the rows a cover vertex reads.
@@ -129,6 +146,7 @@ class Graph:
         "_total_in_deg",
         "_fingerprint",
         "_vertex_ids",
+        "_key_indexes",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple], directed: bool = False):
@@ -213,6 +231,7 @@ class Graph:
         self._total_deg = float(self.degrees.sum())
         self._total_in_deg = float(self.in_degrees.sum())
         self._fingerprint = self._vertex_ids = None
+        self._key_indexes = []
 
     # -- degree / volume -------------------------------------------------
 
@@ -253,9 +272,14 @@ class Graph:
         return self._weight_between(a_ids, b_ids)
 
     def _weight_between(self, a_ids: np.ndarray, b_ids: np.ndarray) -> float:
-        pos, _ = row_positions(self.indptr, a_ids)
-        _, hit = sorted_lookup(b_ids, self.indices[pos])
-        return float(self.weights[pos[hit]].sum())
+        """Weight of the out-edges from a_ids into b_ids (unique in-range ids), in a's row order."""
+        index = borrow_key_index(self)
+        try:
+            index[b_ids] = 1
+            pos, _ = row_positions(self.indptr, a_ids)
+            return float(self.weights[pos[index[self.indices[pos]] != 0]].sum())
+        finally:
+            give_back_key_index(self, index, b_ids)
 
     def _pair_volume(self, l_ids: np.ndarray, r_ids: np.ndarray) -> float:
         """vol(L1 u R2) = vol_out(L) + vol_in(R): the one volume rule for a pair."""

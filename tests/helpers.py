@@ -117,9 +117,13 @@ def esp_state_from_set(g: Graph, keys, rng) -> EspState:
 
 
 def clone_state(state: EspState) -> EspState:
-    """An independent copy of an evolving-set state, in the form it is in."""
-    mass = state.nbr_mass
+    """An independent copy of an evolving-set state, in the form it is in.
+
+    An array-form copy borrows its own key index from the graph, filled by the
+    `_TrackedArrays` constructor, so stepping one state never moves the other.
+    """
+    g, mass = state.graph, state.nbr_mass
     if isinstance(mass, dict):
-        return EspState(state.graph, set(state.members), state.walker, dict(mass), state.vol)
-    arrays = type(mass)(mass.ids.copy(), mass.mass.copy(), mass.inside.copy(), mass.deg.copy())
-    return EspState(state.graph, None, state.walker, arrays, state.vol)
+        return EspState(g, set(state.members), state.walker, dict(mass), state.vol)
+    arrays = type(mass)(g, mass.ids.copy(), mass.mass.copy(), mass.inside.copy(), mass.deg.copy())
+    return EspState(g, None, state.walker, arrays, state.vol)

@@ -1,9 +1,15 @@
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from pairclust import esp
 from pairclust import (
     EspState,
     Graph,
+    bipartiteness,
     cover_vertex,
     esp_step,
     evo_cut_directed,
@@ -15,6 +21,7 @@ from pairclust import (
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
+from pairclust.generators import CbmPlusSpec, SbmSpec, gen_cbm_plus, gen_sbm
 from helpers import clone_state, esp_state_from_set, random_directed
 
 
@@ -273,3 +280,106 @@ class TestEvoCutDirected:
             assert a.l.tolist() == b.l.tolist()
             assert a.r.tolist() == b.r.tolist()
             assert a.flow == b.flow
+
+
+class TestArrayFormMapping:
+    def test_tracks_exactly_the_dict_keys(self):
+        g = random_directed(np.random.default_rng(4), 12, p=0.3)
+        top = 2 * g.n - 1
+        by_dict = esp_state_from_set(g, {0, top - 1, top}, np.random.default_rng(5))
+        by_array = clone_state(by_dict)
+        esp._to_arrays(by_array)
+        t, ref = by_array.nbr_mass, by_dict.nbr_mass
+        assert {top - 1, top} <= ref.keys()  # a key that wraps around would hit a tracked one
+        assert len(t) == len(ref)
+        assert set(t) == set(ref)
+        assert all(t[key] == mass for key, mass in ref.items())
+        untracked = next(key for key in range(2 * g.n) if key not in ref)
+        for key in (-1, -2, 2 * g.n, 2 * g.n + 5, 1.5, untracked):
+            assert key not in t
+            with pytest.raises(KeyError):
+                t[key]
+            assert by_array._lookup(key) == (0.0, 0.0)
+
+
+def _pool_graph():
+    """A small CBM+ digraph whose samples reach a few dozen keys in 10 steps."""
+    return gen_cbm_plus(CbmPlusSpec(k=3, n=100, n_prime=20, p=0.02, q=0.05, q2_prime=0.1), 3)[0]
+
+
+def _assert_pool_clean(g, most=1):
+    assert len(g._key_indexes) <= most
+    for index in g._key_indexes:
+        assert index.shape == (2 * g.n,) and not index.any()
+
+
+class TestKeyIndexPool:
+    """Every query gives its key index back all zero, on success and on failure alike."""
+
+    def test_queries_leave_the_pool_zeroed(self):
+        g = _pool_graph()
+        l, r = np.arange(300, 320), np.arange(320, 340)
+        with mock.patch.object(esp, "_VECTOR_MIN_KEYS", 0):  # every sample takes the array form
+            generate_sample(g, cover_vertex(300, 1), 10, np.random.default_rng(1))
+            assert len(g._key_indexes) == 1  # the sample borrowed and gave back
+            _assert_pool_clean(g)
+            rng = np.random.default_rng(2)
+            pair = evo_cut_directed(g, 300, "both", 0.1, rng, steps=10, attempts=3)
+        assert pair is not None
+        _assert_pool_clean(g)
+        for measure in (lambda: g.cut_weight(l, r), lambda: flow_ratio(g, l, r)):
+            assert measure() > 0
+            _assert_pool_clean(g)
+        und = gen_sbm(SbmSpec(n1=20, p1=0.3, q1=0.5), 4)[0]
+        assert bipartiteness(und, np.arange(20), np.arange(20, 40)) < 1
+        _assert_pool_clean(und)
+
+    def test_failed_sample_gives_its_index_back(self):
+        g = _pool_graph()
+        step = esp.esp_step
+        calls = []
+
+        def fail_at_third(state, rng):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected")
+            return step(state, rng)
+
+        with mock.patch.multiple(esp, esp_step=fail_at_third, _VECTOR_MIN_KEYS=0):
+            with pytest.raises(RuntimeError, match="injected"):
+                generate_sample(g, cover_vertex(300, 1), 10, np.random.default_rng(1))
+        assert len(g._key_indexes) == 1  # the array-form state had borrowed one
+        _assert_pool_clean(g)
+
+    def test_two_threads_on_one_graph_match_sequential_calls(self):
+        g = _pool_graph()
+        l, r = np.arange(300, 320), np.arange(320, 340)
+
+        def query(seed):
+            pair = evo_cut_directed(
+                g, 300 + seed, "both", 0.1, np.random.default_rng(seed), steps=10, attempts=3
+            )
+            return pair.l.tolist(), pair.r.tolist(), pair.flow, g.cut_weight(l, r)
+
+        seeds = range(6)
+        with mock.patch.object(esp, "_VECTOR_MIN_KEYS", 0):
+            expected = [query(seed) for seed in seeds]
+            results = {}
+
+            def worker(own):
+                for seed in own:
+                    results[seed] = query(seed)
+
+            threads = [threading.Thread(target=worker, args=(seeds[k::2],)) for k in range(2)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(seed) for seed in seeds] == expected
+        _assert_pool_clean(g, most=2)
