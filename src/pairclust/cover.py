@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, row_positions
+from .graph import Graph, row_positions, sorted_unique
 
 __all__ = [
     "cover_vertex",
@@ -127,7 +127,9 @@ def total_cover_volume(g: Graph) -> float:
 
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
     """(boundary weight, volume) of a cover set, through the reduction to (L, R)."""
-    k = np.unique(keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64))
+    if not isinstance(keys, np.ndarray):
+        keys = np.fromiter(keys, np.int64, len(keys) if hasattr(keys, "__len__") else -1)
+    k = sorted_unique(keys)
     check_cover_keys(g, k)
     l, r = to_cluster_pair(k)
     vol = g._pair_volume(l, r)

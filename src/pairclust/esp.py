@@ -43,7 +43,7 @@ from .cover import (
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, borrow_key_index, flow_ratio, give_back_key_index
+from .graph import Graph, borrow_key_index, flow_ratio, give_back_key_index, sorted_unique
 
 __all__ = [
     "EspState",
@@ -270,9 +270,9 @@ def _update_vector(state: EspState, u: float):
     changes no member ends there. Otherwise the changed keys, sorted by key so
     that no sum depends on insertion order, flip their flags and add their
     signed degrees to the volume. Their cover rows are gathered `_GATHER_CHUNK`
-    keys at a time, signed and added by one `bincount` over the key index's
-    positions (untracked neighbors are appended first, with mass 0). When a
-    key left, the reference's prune follows and renumbers the kept keys.
+    keys at a time, signed and added by one `bincount` over the key index's positions
+    (untracked neighbors are first deduplicated by sorting, `sorted_unique`, and appended
+    with mass 0). When a key left, the reference's prune follows and renumbers the kept keys.
     Q is computed with the reference's floating point operations (the one
     swapped addition commutes exactly), so both forms pick the same set.
     Outside the zero-degree case no array over the tracked keys is bool: a
@@ -307,14 +307,16 @@ def _update_vector(state: EspState, u: float):
         chunk = slice(start, start + _GATHER_CHUNK)
         nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
         ws *= signs[chunk][owner]
-        new = np.unique(nbrs[t.index[nbrs] == 0])
+        at = t.index[nbrs]
+        new = sorted_unique(nbrs[at == 0])
         if new.size:  # append them, outside the set with mass 0
             zeros, size = np.zeros(new.size), t.ids.size
             t.ids, t.mass, t.inside, t.deg = map(np.concatenate, (
                 (t.ids, new), (t.mass, zeros), (t.inside, zeros), (t.deg, cover_degrees(g, new))
             ))
             t.index[new] = np.arange(size + 1, t.ids.size + 1)
-        t.mass += np.bincount(t.index[nbrs] - 1, weights=ws, minlength=t.ids.size)
+            at = t.index[nbrs]
+        t.mass += np.bincount(at - 1, weights=ws, minlength=t.ids.size)
 
     # the reference's prune: drop non-members whose mass is a zero residue
     if signs.min() < 0:

@@ -267,16 +267,16 @@ def loc_bipart_dc(
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if alpha is None:
         alpha = beta_hat * beta_hat / 378.0
-        if alpha > 1.0:
+        if not 0 < alpha <= 1:
             raise ValueError(
-                f"beta_hat={beta_hat} gives teleport probability {alpha:.3g} > 1; "
+                f"beta_hat={beta_hat} gives teleport probability {alpha:.3g} outside (0, 1]; "
                 "pass an explicit alpha in (0, 1]"
             )
-    if not 0 < alpha <= 1:
+    elif not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     epsilon = 1.0 / (20.0 * gamma)
-    if epsilon == math.inf:
-        raise ValueError(f"gamma={gamma} gives push threshold 1/(20*gamma) = inf")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"gamma={gamma} gives push threshold 1/(20*gamma) = {epsilon}")
     sp = simplify(AprState(g, u, alpha, epsilon).run().p)
     if not sp:
         return None

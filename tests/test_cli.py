@@ -537,6 +537,26 @@ class TestExitCodes:
         assert "gamma=1e-320" in err
 
     @pytest.mark.parametrize(
+        "gamma, beta, named",
+        [
+            # beta_hat**2/378 underflows to 0: the derived alpha, which the user never passed
+            ("10", "1e-300", "beta_hat=1e-300"),
+            # 1/(20*gamma) underflows to 0: the push threshold
+            ("1e308", "0.3", "gamma=1e+308"),
+        ],
+    )
+    def test_target_whose_derived_parameter_underflows_is_three(
+        self, tmp_path, capsys, gamma, beta, named
+    ):
+        path = bipartite_island(tmp_path)
+        argv = ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", "--gamma", gamma]
+        assert main(argv + ["--beta", beta]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
+        assert "alpha must be" not in err and "epsilon must be" not in err
+
+    @pytest.mark.parametrize(
         "gamma, beta, name",
         [
             ("nan", "0.5", "gamma"),

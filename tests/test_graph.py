@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pairclust import Graph, bipartiteness, conductance, cut_imbalance, flow_ratio
 from pairclust.cover import cover_cut_and_volume, pair_to_cover_set
+from pairclust.graph import as_vertex_array, sorted_unique
 from helpers import random_disjoint_pair, random_undirected
 
 
@@ -266,6 +272,57 @@ class TestCutImbalance:
         g = Graph(3, [(0, 1)], directed=True)
         with pytest.raises(ValueError):
             cut_imbalance(g, [2], [1])
+
+
+# id arrays of up to two dimensions (a 0-d scalar, empty, one element and 2-D
+# included); a narrow value range makes duplicates common
+_ID_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12)
+_ID_ARRAYS = st.one_of(
+    hnp.arrays(np.int64, _ID_SHAPES, elements=st.integers(-6, 6)),
+    hnp.arrays(np.int64, _ID_SHAPES),
+    hnp.arrays(np.uint64, _ID_SHAPES, elements=st.integers(2**64 - 4, 2**64 - 1) | st.integers(0, 5)),
+)
+
+
+class TestSortedUnique:
+    """`sorted_unique` returns what `np.unique` does, without numpy's hash table."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(arr=_ID_ARRAYS)
+    @example(arr=np.array([], dtype=np.int64))
+    @example(arr=np.array([], dtype=np.uint64))
+    @example(arr=np.array([-3], dtype=np.int64))
+    @example(arr=np.array([[4, -1, 4], [-1, 0, 9]], dtype=np.int64))
+    @example(arr=np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64))
+    def test_equals_np_unique(self, arr):
+        got, want = sorted_unique(arr), np.unique(arr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(arr=hnp.arrays(np.int64, _ID_SHAPES, elements=st.integers(0, 9)))
+    def test_vertex_array_is_the_unique_ids(self, arr):
+        ids = as_vertex_array(10, arr)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, np.unique(arr))
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([1.0, 0.5]), "vertex id 0.5 is not an integer"),
+            (np.array([np.nan, 1.0]), "vertex id nan is not an integer"),
+            (np.array([2.0, -np.inf]), "vertex id -inf is not an integer"),
+            (np.array([True, False]), "vertex ids must be integers, not bool"),
+            (["0"], "vertex ids must be integers, not <U1"),
+            ([2, -1, 2], "vertex id -1 out of range [0, 3)"),
+            (np.array([[0, 7], [7, 1]]), "vertex id 7 out of range [0, 3)"),
+            (np.array([3], dtype=np.uint64), "vertex id 3 out of range [0, 3)"),
+            (np.array([5.0, 1.0]), "vertex id 5.0 out of range [0, 3)"),
+        ],
+    )
+    def test_vertex_array_errors_unchanged(self, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_vertex_array(3, ids)
 
 
 def test_metrics_invariant_under_weight_scaling():

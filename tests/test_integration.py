@@ -1,6 +1,7 @@
 """End-to-end workflows across modules: flow-matrix ingestion to directed clustering."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pairclust import (
     Graph,
     build_run_result,
+    esp,
     evo_cut_directed,
     flow_ratio,
     load_flow_matrix,
@@ -16,6 +18,7 @@ from pairclust import (
     run_result_json,
 )
 from pairclust.cli import main
+from pairclust.generators import CbmPlusSpec, gen_cbm_plus
 
 
 def write_migration_matrix(path, rng):
@@ -115,3 +118,30 @@ def test_results_of_one_graph_share_vertex_ids():
     a, b = results
     assert (a.l, a.r) == (b.r, b.l) == ([500, 502], [501, 503])
     assert a.l[0] is b.r[0] and a.r[1] is b.l[1]
+
+
+def test_queries_deduplicate_without_hashing():
+    # numpy's plain unique (and intersect1d, which calls it) hashes from numpy
+    # 2.3 on; the query path sorts instead. return_* calls take numpy's argsort path.
+    unique, intersect1d = np.unique, np.intersect1d
+
+    def sorting_unique(ar, return_index=False, return_inverse=False, return_counts=False, **kw):
+        assert return_index or return_inverse or return_counts, "np.unique hashes; use sorted_unique"
+        return unique(ar, return_index, return_inverse, return_counts, **kw)
+
+    def presorted_intersect1d(ar1, ar2, assume_unique=False, **kw):
+        assert assume_unique, "np.intersect1d deduplicates by hashing; pass assume_unique=True"
+        return intersect1d(ar1, ar2, assume_unique, **kw)
+
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]
+    und = Graph(7, cycle)
+    dig = gen_cbm_plus(CbmPlusSpec(k=3, n=100, n_prime=20, p=0.02, q=0.05, q2_prime=0.1), 3)[0]
+    counted = mock.Mock(wraps=esp.sorted_unique)
+    with mock.patch.multiple(np, unique=sorting_unique, intersect1d=presorted_intersect1d):
+        pair = loc_bipart_dc(und, 0, 20.0, 0.5, alpha=0.3)
+        assert build_run_result(und, "cluster-bipartite", 0, {}, pair, 0.0).found
+        # the array form from the first step, so its new-key dedup runs
+        with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=0, sorted_unique=counted):
+            pair = evo_cut_directed(dig, 300, "both", 0.1, np.random.default_rng(2), steps=10)
+        assert build_run_result(dig, "cluster-directed", 300, {}, pair, 0.0).found
+    assert counted.call_count > 0
