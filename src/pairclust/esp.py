@@ -16,9 +16,9 @@ keys, which is the reference. Once it tracks `_VECTOR_MIN_KEYS` keys it is
 converted, once, to array form: keys in insertion order, positioned by the
 graph's key index, with aligned neighbor masses, membership flags and cover
 degrees, which each later step of the sample updates in place. An array step
-compares Q against the threshold in one pass and adds the changed keys' rows,
-sorted by key so that outputs are unchanged, as signed sums. Both forms draw
-nothing from the rng, so the walker moves and the rng stream are the same.
+compares Q against the threshold in one pass and adds the changed keys' rows
+in one gather, sorted by key so that outputs are unchanged, as signed sums.
+Both forms draw nothing from the rng, so the walker moves and rng stream agree.
 """
 
 from __future__ import annotations
@@ -64,9 +64,11 @@ _MASS_EPS = 1e-12
 # 1 KiB) does not pin memory for every set size the process passes through.
 _VECTOR_MIN_KEYS = 128
 
-# Changed keys whose cover rows the array step gathers at once. Bounds the
-# step's temporaries, which otherwise grow with the changed volume.
-_GATHER_CHUNK = 256
+# A step count derived from phi fails above this instead of running. At about
+# 0.23 ms a step on the table2 digraph, 10**6 steps already take minutes, and
+# phi below 1e-12 asks for more (phi = 1e-30 asks for about 10**18). An explicit
+# step count is not capped.
+_MAX_DERIVED_STEPS = 10**6
 
 
 class _TrackedArrays(Mapping):
@@ -269,8 +271,8 @@ def _update_vector(state: EspState, u: float):
     tracked key a sign: +1 joins the set, -1 leaves it, 0 stays. A step that
     changes no member ends there. Otherwise the changed keys, sorted by key so
     that no sum depends on insertion order, flip their flags and add their
-    signed degrees to the volume. Their cover rows are gathered `_GATHER_CHUNK`
-    keys at a time, signed and added by one `bincount` over the key index's positions
+    signed degrees to the volume. Their cover rows are gathered at once,
+    signed and added by one `bincount` over the key index's positions
     (untracked neighbors are first deduplicated by sorting, `sorted_unique`, and appended
     with mass 0). When a key left, the reference's prune follows and renumbers the kept keys.
     Q is computed with the reference's floating point operations (the one
@@ -300,23 +302,20 @@ def _update_vector(state: EspState, u: float):
     signs = sign[changed]
     t.inside[changed] += signs
     state.vol += float(t.deg[changed] @ signs)
-    changed_keys = t.ids[changed]
 
     # 4. signed gather of the changed keys' rows, summed per neighbor
-    for start in range(0, changed.size, _GATHER_CHUNK):
-        chunk = slice(start, start + _GATHER_CHUNK)
-        nbrs, ws, owner = cover_rows(g, changed_keys[chunk])
-        ws *= signs[chunk][owner]
+    nbrs, ws, owner = cover_rows(g, t.ids[changed])
+    ws *= signs[owner]
+    at = t.index[nbrs]
+    new = sorted_unique(nbrs[at == 0])
+    if new.size:  # append them, outside the set with mass 0
+        zeros, size = np.zeros(new.size), t.ids.size
+        t.ids, t.mass, t.inside, t.deg = map(np.concatenate, (
+            (t.ids, new), (t.mass, zeros), (t.inside, zeros), (t.deg, cover_degrees(g, new))
+        ))
+        t.index[new] = np.arange(size + 1, t.ids.size + 1)
         at = t.index[nbrs]
-        new = sorted_unique(nbrs[at == 0])
-        if new.size:  # append them, outside the set with mass 0
-            zeros, size = np.zeros(new.size), t.ids.size
-            t.ids, t.mass, t.inside, t.deg = map(np.concatenate, (
-                (t.ids, new), (t.mass, zeros), (t.inside, zeros), (t.deg, cover_degrees(g, new))
-            ))
-            t.index[new] = np.arange(size + 1, t.ids.size + 1)
-            at = t.index[nbrs]
-        t.mass += np.bincount(at - 1, weights=ws, minlength=t.ids.size)
+    t.mass += np.bincount(at - 1, weights=ws, minlength=t.ids.size)
 
     # the reference's prune: drop non-members whose mass is a zero residue
     if signs.min() < 0:
@@ -359,10 +358,19 @@ def _as_count(value, name: str) -> int:
 
 
 def steps_for_target_flow(phi: float) -> int:
-    """Step count for a target flow ratio, clamped to at least one step."""
+    """Step count for a target flow ratio, clamped to at least one step.
+
+    Raises ValueError naming phi when the count passes `_MAX_DERIVED_STEPS`.
+    """
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
-    return max(1, math.floor(1.0 / (100.0 * phi ** (2.0 / 3.0))))
+    t = max(1, math.floor(1.0 / (100.0 * phi ** (2.0 / 3.0))))
+    if t > _MAX_DERIVED_STEPS:
+        raise ValueError(
+            f"phi={phi} asks for {t} evolving-set steps, above {_MAX_DERIVED_STEPS}; "
+            "pass an explicit step count"
+        )
+    return t
 
 
 @dataclass(frozen=True)

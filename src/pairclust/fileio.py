@@ -170,7 +170,8 @@ def load_flow_matrix(path) -> Graph:
     Each unordered pair with asymmetric flow becomes one arc from the larger
     flow's origin, weighted by |M_jl - M_lj| / (M_jl + M_lj); balanced or
     absent flows produce no edge. Duplicate rows accumulate. Negative or
-    non-finite counts are rejected with the line number.
+    non-finite counts are rejected with the line number, and a pair whose two
+    flows total past the float range is rejected naming the pair.
     """
     rows, cols, counts = [], [], []
     for lineno, line in _data_lines(path):
@@ -197,13 +198,16 @@ def load_flow_matrix(path) -> Graph:
     fwd = np.bincount(at, weights=counts, minlength=pairs.size)
     back, held = sorted_lookup(pairs, pairs % n * n + pairs // n)
     bwd = np.where(held, fwd[np.minimum(back, pairs.size - 1)], 0.0)
-    arc = fwd > bwd  # so an arc's total is positive: no 0/0
+    # A total M_jl + M_lj past the float range would weigh the arc 0 or nan. Halves
+    # sum without overflow, and pass max/2 exactly when the whole total rounds to inf.
+    over = (0.5 * fwd + 0.5 * bwd > np.finfo(np.float64).max / 2) & (pairs // n != pairs % n)
+    if over.any():
+        j, l = divmod(int(pairs[over][0]), n)
+        raise ParseError(f"{path}: the flows {j},{l} and {l},{j} total past the float range")
+    arc = fwd > bwd  # so an arc's total is positive: no 0/0, and its weight is > 0
     pairs, fwd, bwd = pairs[arc], fwd[arc], bwd[arc]
-    # totals past the float range give 0 or nan, as Python floats do
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (fwd - bwd) / (fwd + bwd)
-    keep = w != 0.0
-    return Graph.from_arrays(n, pairs[keep] // n, pairs[keep] % n, w[keep], directed=True)
+    w = (fwd - bwd) / (fwd + bwd)
+    return Graph.from_arrays(n, pairs // n, pairs % n, w, directed=True)
 
 
 def load_labels(path) -> np.ndarray:

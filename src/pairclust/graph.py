@@ -107,6 +107,17 @@ def give_back_key_index(g: "Graph", index: np.ndarray, keys: np.ndarray):
     g._key_indexes.append(index)
 
 
+def key_positions(g: "Graph", keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Each needle's position in the distinct `keys`, or -1: a key index borrowed from g
+    holds position + 1 at `keys` and 0 at every other key, and goes back zeroed."""
+    index = borrow_key_index(g)
+    try:
+        index[keys] = np.arange(1, keys.size + 1)
+        return index[needles] - 1
+    finally:
+        give_back_key_index(g, index, keys)
+
+
 def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Sum weights of parallel edges. Keys are u*n+v, so (u, v) must be canonical."""
     keys = u * np.int64(n) + v
@@ -283,13 +294,8 @@ class Graph:
 
     def _weight_between(self, a_ids: np.ndarray, b_ids: np.ndarray) -> float:
         """Weight of the out-edges from a_ids into b_ids (unique in-range ids), in a's row order."""
-        index = borrow_key_index(self)
-        try:
-            index[b_ids] = 1
-            pos, _ = row_positions(self.indptr, a_ids)
-            return float(self.weights[pos[index[self.indices[pos]] != 0]].sum())
-        finally:
-            give_back_key_index(self, index, b_ids)
+        pos, _ = row_positions(self.indptr, a_ids)
+        return float(self.weights[pos[key_positions(self, b_ids, self.indices[pos]) >= 0]].sum())
 
     def _pair_volume(self, l_ids: np.ndarray, r_ids: np.ndarray) -> float:
         """vol(L1 u R2) = vol_out(L) + vol_in(R): the one volume rule for a pair."""

@@ -25,7 +25,7 @@ from .cover import (
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, bipartiteness, sorted_lookup, sorted_merge
+from .graph import Graph, bipartiteness, key_positions, sorted_lookup, sorted_merge
 
 __all__ = [
     "AprState",
@@ -198,13 +198,12 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
     deg = cover_degrees(g, keys)
     order = np.lexsort((keys, -vals / deg))
     keys, deg = keys[order], deg[order]
-    by_key = np.argsort(keys)  # rank of the k-th smallest key
-    if sorted_lookup(keys[by_key], keys ^ 1)[1].any():
+    if (key_positions(g, keys, keys ^ 1) >= 0).any():
         raise ValueError("sweep_cut requires a simplified mass vector")
     # charge each support-internal cover edge to the later of its two ranks
     nbr_keys, ws, rank = cover_rows(g, keys)
-    at, held = sorted_lookup(keys[by_key], nbr_keys)
-    earlier = held & (by_key[np.minimum(at, keys.size - 1)] < rank)
+    other = key_positions(g, keys, nbr_keys)
+    earlier = (other >= 0) & (other < rank)
     inside = np.bincount(rank[earlier], weights=ws[earlier], minlength=keys.size)
 
     vol = np.cumsum(deg)

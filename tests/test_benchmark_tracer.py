@@ -54,3 +54,13 @@ def test_pair_measures_are_seen_through_their_wrapped_names():
     assert spans["graph.flow_ratio"] >= 2  # the sample's flow and the result
     for name in ("esp.cover_cut_and_volume", "cover.conductance_in_cover", "graph.cut_weight"):
         assert spans[name] >= 1, name
+
+
+def test_smoke_break_target_is_spelled_once():
+    # the smoke test breaks the library by an exact text replace, a no-op on a respelled line
+    line = 'metrics["beta"] = bipartiteness(g, l, r)'
+    source = Path(results.__file__).read_text(encoding="utf-8")
+    assert source.count(line) == 1, (
+        f"results.py must hold {line!r} exactly once: "
+        "perfbench/test_smoke.py::test_failed_check_exits_nonzero replaces it to break the check"
+    )

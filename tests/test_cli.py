@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import pairclust
 from pairclust import Graph, cli, write_edge_list
 from pairclust.cli import main
 
@@ -502,6 +506,14 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
 
+    def test_flow_pair_total_past_the_float_range_is_two(self, tmp_path, capsys):
+        # used to exit 3 with "edge weights must be finite and > 0", naming no file
+        bad = tmp_path / "m.csv"
+        bad.write_text("0,1,1e308\n0,1,1e308\n1,0,1e308\n")
+        argv = ["cluster-directed", "--format", "flow", "--phi", "0.5", "--seed-vertex", "0"]
+        assert main(argv + ["-g", str(bad)]) == 2
+        assert f"{bad}: the flows 0,1 and 1,0 total past the float range" in capsys.readouterr().err
+
     def test_result_json_syntax_error_names_the_file(self, tmp_path, capsys):
         result_path = tmp_path / "r.json"
         result_path.write_text('{"l": [0],\n "r": [1],')
@@ -519,6 +531,21 @@ class TestExitCodes:
         code = main(["eval", "--output", str(result_path), "--labels", str(labels_path)])
         assert code == 2
         assert f"{result_path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_phi_past_the_step_limit_is_three(self, tmp_path):
+        # phi = 1e-30 derives about 10**18 evolving-set steps; this used to run until killed
+        argv = ["cluster-directed", "-g", str(small_digraph(tmp_path)), "--seed-vertex", "0"]
+        env = {**os.environ, "PYTHONPATH": str(Path(pairclust.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "pairclust.cli", *argv, "--phi", "1e-30"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "phi=1e-30 asks for" in done.stderr
 
     def test_invalid_params_is_three(self, tmp_path):
         path = bipartite_island(tmp_path)

@@ -16,8 +16,10 @@ from pairclust import (
     exact_esp_kernel,
     flow_ratio,
     generate_sample,
+    loc_bipart_dc,
     pair_to_cover_set,
     steps_for_target_flow,
+    sweep_cut,
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
@@ -191,6 +193,21 @@ class TestStepsForTargetFlow:
         with pytest.raises(ValueError):
             steps_for_target_flow(1.5)
 
+    def test_derived_count_above_the_limit_names_phi(self):
+        # phi = 1e-30 used to ask for about 10**18 steps and run until killed
+        assert steps_for_target_flow(1e-11) < esp._MAX_DERIVED_STEPS
+        with pytest.raises(ValueError, match=r"phi=1e-30 asks for 999999999999997440 .*steps"):
+            steps_for_target_flow(1e-30)
+        with pytest.raises(ValueError, match="phi=1e-30"):
+            evo_cut_directed(small_digraph(), 0, "both", 1e-30, np.random.default_rng(0))
+
+    def test_explicit_step_count_is_not_capped(self):
+        a, b = (
+            evo_cut_directed(small_digraph(), 0, "both", phi, np.random.default_rng(0), steps=3)
+            for phi in (1e-30, 0.5)
+        )
+        assert (a.l.tolist(), a.r.tolist(), a.flow) == (b.l.tolist(), b.r.tolist(), b.flow)
+
 
 class TestEvoCutDirected:
     def test_output_is_simple_and_recomputed(self):
@@ -349,6 +366,16 @@ class TestKeyIndexPool:
             with pytest.raises(RuntimeError, match="injected"):
                 generate_sample(g, cover_vertex(300, 1), 10, np.random.default_rng(1))
         assert len(g._key_indexes) == 1  # the array-form state had borrowed one
+        _assert_pool_clean(g)
+
+    def test_sweeps_leave_the_pool_zeroed(self):
+        g = gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
+        assert loc_bipart_dc(g, 0, 200.0, 0.3, alpha=0.3) is not None
+        assert len(g._key_indexes) == 1  # the sweep and the pair measures borrowed and gave back
+        _assert_pool_clean(g)
+        doubled = {cover_vertex(0, 1): 0.5, cover_vertex(1, 2): 0.25, cover_vertex(0, 2): 0.25}
+        with pytest.raises(ValueError, match="requires a simplified mass vector"):
+            sweep_cut(g, doubled, 0.5)
         _assert_pool_clean(g)
 
     def test_two_threads_on_one_graph_match_sequential_calls(self):

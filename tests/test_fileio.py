@@ -273,6 +273,28 @@ class TestLoadFlowMatrix:
         with pytest.raises(ParseError):
             load_flow_matrix(f)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,1,1e308\n0,1,1e308\n1,0,1e308\n",  # M_01 overflows: the arc read weight nan
+            "0,1,1e308\n1,0,9e307\n",  # each finite, the total not: the arc read weight 0
+        ],
+    )
+    def test_pair_total_past_the_float_range_names_the_pair(self, tmp_path, text):
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_flow_matrix(f)
+        assert str(info.value) == f"{f}: the flows 0,1 and 1,0 total past the float range"
+
+    def test_large_totals_inside_the_float_range_load(self, tmp_path):
+        f = tmp_path / "m.csv"
+        # a total of 1.7e308 fits; a self flow past the range makes no arc either way
+        f.write_text("0,1,1e308\n1,0,7e307\n2,2,1e308\n2,2,1e308\n")
+        g = load_flow_matrix(f)
+        assert g.edge_count == 1
+        assert g.degrees[0] == pytest.approx(3e307 / 1.7e308)
+
     def test_self_flow_ignored(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("0,0,9\n0,1,1\n")

@@ -15,10 +15,11 @@ from pairclust import (
     load_flow_matrix,
     loc_bipart_dc,
     misclassified_ratio,
+    pagerank,
     run_result_json,
 )
 from pairclust.cli import main
-from pairclust.generators import CbmPlusSpec, gen_cbm_plus
+from pairclust.generators import CbmPlusSpec, SbmSpec, gen_cbm_plus, gen_sbm
 
 
 def write_migration_matrix(path, rng):
@@ -145,3 +146,14 @@ def test_queries_deduplicate_without_hashing():
             pair = evo_cut_directed(dig, 300, "both", 0.1, np.random.default_rng(2), steps=10)
         assert build_run_result(dig, "cluster-directed", 300, {}, pair, 0.0).found
     assert counted.call_count > 0
+
+
+def test_sweep_and_result_read_the_key_index_not_sorted_lookup():
+    # the sweep's simple-support check and internal-edge ranks, and the pair
+    # measures, read positions from the graph's key index (graph.key_positions)
+    g = gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
+    lookup = mock.Mock(wraps=pagerank.sorted_lookup)
+    with mock.patch.object(pagerank, "sorted_lookup", lookup):
+        pair = loc_bipart_dc(g, 0, 200.0, 0.3, alpha=0.3)
+        assert build_run_result(g, "cluster-bipartite", 0, {}, pair, 0.0).found
+    assert lookup.call_count == 0

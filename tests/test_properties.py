@@ -204,15 +204,13 @@ def test_edge_list_round_trip(g):
 
 @st.composite
 def esp_starts(draw):
-    """A digraph of up to 142 vertices, a start state, a step count, an rng seed
-    and the number of changed keys the vector form gathers at once.
+    """A digraph of up to 142 vertices, a start state, a step count and an rng seed.
 
     Weights are small integers (every mass and volume exact) or floats. Up to
     two vertices have no arcs, so their cover keys have degree 0; a start set
     may hold them. Starts are a single key, which grows, or a random set of
     up to the whole cover, which shrinks and prunes. On graphs of more than
     64 vertices the tracked set can cross the dispatch threshold (128 keys).
-    Gathering a few keys at a time puts many chunk boundaries in one step.
     """
     integer = draw(st.booleans())
     n = draw(st.one_of(st.integers(2, 16), st.integers(48, 140)))
@@ -236,14 +234,13 @@ def esp_starts(draw):
             keys = set(np.flatnonzero(rng.random(2 * g.n) < draw(st.floats(0.1, 1.0))).tolist())
         keys.add(draw(st.sampled_from(live)))
         state = esp_state_from_set(g, keys, rng)
-    chunk = draw(st.sampled_from([1, 3, 8, esp._GATHER_CHUNK]))
-    return state, integer, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1)), chunk
+    return state, integer, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
 
 
-def _step_with(state, seed, min_keys, chunk):
+def _step_with(state, seed, min_keys):
     """One esp_step on a copy of `state`, forced to one form by the dispatch threshold."""
     copy = clone_state(state)
-    with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=min_keys, _GATHER_CHUNK=chunk):
+    with mock.patch.object(esp, "_VECTOR_MIN_KEYS", min_keys):
         esp_step(copy, np.random.default_rng(seed))
     return copy
 
@@ -251,10 +248,10 @@ def _step_with(state, seed, min_keys, chunk):
 @settings(SETTINGS, max_examples=150)
 @given(start=esp_starts())
 def test_esp_step_forms_agree(start):
-    state, integer, steps, seed, chunk = start
+    state, integer, steps, seed = start
     for step in range(steps):
-        by_dict = _step_with(state, [seed, step], 2**62, chunk)
-        by_vector = _step_with(state, [seed, step], 0, chunk)
+        by_dict = _step_with(state, [seed, step], 2**62)
+        by_vector = _step_with(state, [seed, step], 0)
         assert by_vector.walker == by_dict.walker
         assert by_vector.members == by_dict.members
         assert by_vector.nbr_mass.keys() == by_dict.nbr_mass.keys()
@@ -286,13 +283,13 @@ def _assert_same_state(by_array, by_dict, integer):
 @given(start=esp_starts())
 def test_esp_array_state_carried_across_steps(start):
     """The array form carries its own state from step to step and stays the dict reference's twin."""
-    state, integer, steps, seed, chunk = start
+    state, integer, steps, seed = start
     by_dict, by_array = clone_state(state), clone_state(state)
     to_arrays = mock.Mock(wraps=esp._to_arrays)
     with mock.patch.object(esp, "_to_arrays", to_arrays):
         for step in range(steps + 4):
-            by_dict = _step_with(by_dict, [seed, step], 2**62, chunk)
-            with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=0, _GATHER_CHUNK=chunk):
+            by_dict = _step_with(by_dict, [seed, step], 2**62)
+            with mock.patch.object(esp, "_VECTOR_MIN_KEYS", 0):
                 esp_step(by_array, np.random.default_rng([seed, step]))
             assert isinstance(by_dict.nbr_mass, dict)
             assert not isinstance(by_array.nbr_mass, dict)
@@ -313,8 +310,8 @@ def test_esp_array_state_prunes_like_dict():
     by_dict, by_array = clone_state(state), clone_state(state)
     sizes = [len(state.nbr_mass)]
     for step in range(40):
-        by_dict = _step_with(by_dict, [5, step], 2**62, esp._GATHER_CHUNK)
-        by_array = _step_with(by_array, [5, step], 0, 7)
+        by_dict = _step_with(by_dict, [5, step], 2**62)
+        by_array = _step_with(by_array, [5, step], 0)
         _assert_same_state(by_array, by_dict, True)
         sizes.append(len(by_array.nbr_mass))
     assert any(after < before for before, after in zip(sizes, sizes[1:]))  # some step pruned
