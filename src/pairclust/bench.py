@@ -53,10 +53,6 @@ class BenchReport:
     total_seconds: float = 0.0
 
 
-def _mean(rows, key):
-    return float(np.mean([row[key] for row in rows]))
-
-
 def _apply_gates(report: BenchReport, gates: dict):
     report.gates = dict(gates)
     ok = True
@@ -70,46 +66,46 @@ def _apply_gates(report: BenchReport, gates: dict):
     report.gates_passed = ok
 
 
-def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchReport:
-    """Planted-pair benchmark on the three-cluster model with p1 = 1/n1, q1 = 18/n1.
+def _run_table(
+    name, seed, trials, gates, *, generate, planted, instance, settings, query, check
+) -> BenchReport:
+    """Score `trials` queries from random seed vertices of a generated graph's planted pair.
 
-    One graph, `trials` random seed vertices inside the planted pair. Each run
-    uses gamma = vol(C1 u C2), alpha = min(20 * beta(C1, C2), ALPHA_CAP), and
-    returns the best sweep prefix under TABLE1_BETA_HAT.
+    `seed` is [rng_seed, *instance sizes]: it roots the graph seed and each
+    trial's stream [*seed, i]. `generate(graph_seed)` returns (g, labels), and
+    `planted` names the pair's two labels. The params list `instance`, the
+    seeds, then `settings(g, c1, c2)`; `query(g, u, rng, params)` reads them,
+    and `check(g, pair)` enforces the query's contract outside the timed window.
+    A row reports the pair's quality, `flow` on a digraph and `beta` otherwise,
+    as 1.0 when the query finds nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if n1 < 1:
-        raise ValueError(f"n1 must be at least 1, got {n1}")
     started = time.perf_counter()
-    spec = SbmSpec(n1=n1, p1=1.0 / n1, q1=18.0 / n1)
-    root = np.random.SeedSequence([rng_seed, n1])
+    root = np.random.SeedSequence(seed)
     graph_seed = int(np.random.default_rng(root.spawn(1)[0]).integers(2**63))
-    g, labels = gen_sbm(spec, graph_seed)
-    c1 = np.flatnonzero(labels == 0)
-    c2 = np.flatnonzero(labels == 1)
+    g, labels = generate(graph_seed)
+    c1, c2 = (np.flatnonzero(labels == label) for label in planted)
     target = np.concatenate([c1, c2])
     truth = pair_labeling(g.n, c1, c2)
-
-    beta_target = bipartiteness(g, c1, c2)
-    gamma = g.volume(target)
-    alpha = min(20.0 * beta_target, ALPHA_CAP)
+    quality = "flow" if g.directed else "beta"
+    params = {**instance, "trials": trials, "rng_seed": seed[0], "graph_seed": graph_seed}
+    params.update(settings(g, c1, c2))
 
     def trial(i: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, n1, i]))
+        rng = np.random.default_rng(np.random.SeedSequence([*seed, i]))
         u = int(target[rng.integers(target.size)])
         t0 = time.perf_counter()
-        pair = loc_bipart_dc(g, u, gamma, TABLE1_BETA_HAT, alpha=alpha, best_sweep=True)
+        pair = query(g, u, rng, params)
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         row = {"trial": i, "seed_vertex": u, "found": pair is not None, "wall_ms": wall_ms}
         if pair is None:
-            row.update({"beta": 1.0, "volume": 0.0, "ari": 0.0, "misclassified": 1.0})
+            row.update({quality: 1.0, "volume": 0.0, "ari": 0.0, "misclassified": 1.0})
             return row
-        if pair.beta > TABLE1_BETA_HAT or set(pair.l.tolist()) & set(pair.r.tolist()):
-            raise RuntimeError("returned pair violates the sweep contract")
+        check(g, pair)
         row.update(
             {
-                "beta": pair.beta,
+                quality: getattr(pair, quality),
                 "volume": pair.volume,
                 "ari": ari(truth, pair_labeling(g.n, pair.l, pair.r)),
                 "misclassified": misclassified_ratio(pair.l, pair.r, c1, c2),
@@ -118,31 +114,50 @@ def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchRepo
         return row
 
     rows = [trial(i) for i in range(trials)]
-    report = BenchReport(
-        name="table1",
-        params={
-            "n1": n1,
-            "p1": spec.p1,
-            "q1": spec.q1,
-            "trials": trials,
-            "rng_seed": rng_seed,
-            "graph_seed": graph_seed,
-            "beta_target": beta_target,
-            "gamma": gamma,
-            "alpha": alpha,
-            "beta_hat": TABLE1_BETA_HAT,
-        },
-        rows=rows,
-    )
-    report.means = {
-        "mean_beta": _mean(rows, "beta"),
-        "mean_ari": _mean(rows, "ari"),
-        "mean_misclassified": _mean(rows, "misclassified"),
-        "mean_wall_ms": _mean(rows, "wall_ms"),
-    }
-    _apply_gates(report, TABLE1_GATES if n1 <= 1000 else TABLE1_GATES_LARGE)
+    keys = (quality, "ari", "misclassified", "wall_ms")
+    means = {f"mean_{key}": float(np.mean([row[key] for row in rows])) for key in keys}
+    report = BenchReport(name=name, params=params, rows=rows, means=means)
+    _apply_gates(report, gates)
     report.total_seconds = time.perf_counter() - started
     return report
+
+
+def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchReport:
+    """Planted-pair benchmark on the three-cluster model with p1 = 1/n1, q1 = 18/n1.
+
+    One graph, `trials` random seed vertices inside the planted pair. Each run
+    uses gamma = vol(C1 u C2), alpha = min(20 * beta(C1, C2), ALPHA_CAP), and
+    returns the best sweep prefix under TABLE1_BETA_HAT.
+    """
+    if n1 < 1:
+        raise ValueError(f"n1 must be at least 1, got {n1}")
+    spec = SbmSpec(n1=n1, p1=1.0 / n1, q1=18.0 / n1)
+
+    def settings(g, c1, c2) -> dict:
+        beta_target = bipartiteness(g, c1, c2)
+        return {
+            "beta_target": beta_target,
+            "gamma": g.volume(np.concatenate([c1, c2])),
+            "alpha": min(20.0 * beta_target, ALPHA_CAP),
+            "beta_hat": TABLE1_BETA_HAT,
+        }
+
+    def query(g, u, rng, params):
+        return loc_bipart_dc(
+            g, u, params["gamma"], params["beta_hat"], alpha=params["alpha"], best_sweep=True
+        )
+
+    def check(g, pair):
+        if pair.beta > TABLE1_BETA_HAT or set(pair.l.tolist()) & set(pair.r.tolist()):
+            raise RuntimeError("returned pair violates the sweep contract")
+
+    gates = TABLE1_GATES if n1 <= 1000 else TABLE1_GATES_LARGE
+    return _run_table(
+        "table1", [rng_seed, n1], trials, gates,
+        generate=lambda seed: gen_sbm(spec, seed), planted=(0, 1),
+        instance={"n1": n1, "p1": spec.p1, "q1": spec.q1},
+        settings=settings, query=query, check=check,
+    )
 
 
 def run_table2(
@@ -152,63 +167,24 @@ def run_table2(
     attempts: int = TABLE2_ATTEMPTS,
 ) -> BenchReport:
     """Planted local-cycle benchmark on CBM+; both seed sides, lower flow kept."""
-    k, n, n_prime, phi = TABLE2_K, TABLE2_N, TABLE2_N_PRIME, TABLE2_PHI
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    started = time.perf_counter()
+    k, n, n_prime = TABLE2_K, TABLE2_N, TABLE2_N_PRIME
     spec = CbmPlusSpec(k=k, n=n, n_prime=n_prime)
-    root = np.random.SeedSequence([rng_seed, k, n, n_prime])
-    graph_seed = int(np.random.default_rng(root.spawn(1)[0]).integers(2**63))
-    g, labels = gen_cbm_plus(spec, graph_seed)
-    c_left = np.flatnonzero(labels == k)
-    c_right = np.flatnonzero(labels == k + 1)
-    target = np.concatenate([c_left, c_right])
-    truth = pair_labeling(g.n, c_left, c_right)
 
-    def trial(i: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, k, n, n_prime, i]))
-        u = int(target[rng.integers(target.size)])
-        t0 = time.perf_counter()
-        best = evo_cut_directed(g, u, "both", phi, rng, steps=steps, attempts=attempts)
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        row = {"trial": i, "seed_vertex": u, "found": best is not None, "wall_ms": wall_ms}
-        if best is None:
-            row.update({"flow": 1.0, "volume": 0.0, "ari": 0.0, "misclassified": 1.0})
-            return row
+    def settings(g, c_left, c_right) -> dict:
+        return {"steps": steps, "attempts": attempts, "phi": TABLE2_PHI}
+
+    def query(g, u, rng, params):
+        return evo_cut_directed(
+            g, u, "both", params["phi"], rng, steps=params["steps"], attempts=params["attempts"]
+        )
+
+    def check(g, best):
         if flow_ratio(g, best.l, best.r) != best.flow:
             raise RuntimeError("reported flow ratio drifted from recomputation")
-        row.update(
-            {
-                "flow": best.flow,
-                "volume": best.volume,
-                "ari": ari(truth, pair_labeling(g.n, best.l, best.r)),
-                "misclassified": misclassified_ratio(best.l, best.r, c_left, c_right),
-            }
-        )
-        return row
 
-    rows = [trial(i) for i in range(trials)]
-    report = BenchReport(
-        name="table2",
-        params={
-            "k": k,
-            "n": n,
-            "n_prime": n_prime,
-            "trials": trials,
-            "rng_seed": rng_seed,
-            "graph_seed": graph_seed,
-            "steps": steps,
-            "attempts": attempts,
-            "phi": phi,
-        },
-        rows=rows,
+    return _run_table(
+        "table2", [rng_seed, k, n, n_prime], trials, TABLE2_GATES,
+        generate=lambda seed: gen_cbm_plus(spec, seed), planted=(k, k + 1),
+        instance={"k": k, "n": n, "n_prime": n_prime},
+        settings=settings, query=query, check=check,
     )
-    report.means = {
-        "mean_flow": _mean(rows, "flow"),
-        "mean_ari": _mean(rows, "ari"),
-        "mean_misclassified": _mean(rows, "misclassified"),
-        "mean_wall_ms": _mean(rows, "wall_ms"),
-    }
-    _apply_gates(report, TABLE2_GATES)
-    report.total_seconds = time.perf_counter() - started
-    return report

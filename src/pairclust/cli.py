@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -39,6 +40,13 @@ EXIT_IO = 2
 EXIT_PARAMS = 3
 
 DEFAULT_RNG_SEED = 1
+
+# `generate MODEL`: the spec whose fields are the model's options, and its generator.
+_MODELS = {
+    "sbm": (SbmSpec, gen_sbm),
+    "cbm": (CbmSpec, gen_cbm),
+    "cbm+": (CbmPlusSpec, gen_cbm_plus),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,25 +84,9 @@ def _emit_result(args, result):
 
 
 def _cmd_generate(args) -> int:
-    if args.model == "sbm":
-        spec = SbmSpec(n1=args.n1, p1=args.p1, q1=args.q1)
-        g, labels = gen_sbm(spec, args.seed)
-    elif args.model == "cbm":
-        spec = CbmSpec(k=args.k, n=args.n, p=args.p, q=args.q, eta=args.eta)
-        g, labels = gen_cbm(spec, args.seed)
-    else:
-        spec = CbmPlusSpec(
-            k=args.k,
-            n=args.n,
-            n_prime=args.n_prime,
-            p=args.p,
-            q=args.q,
-            eta=args.eta,
-            q1_prime=args.q1_prime,
-            q2_prime=args.q2_prime,
-            eta_prime=args.eta_prime,
-        )
-        g, labels = gen_cbm_plus(spec, args.seed)
+    spec_type, generate = _MODELS[args.model]
+    spec = spec_type(**{f.name: getattr(args, f.name) for f in fields(spec_type)})
+    g, labels = generate(spec, args.seed)
     write_edge_list(g, args.output)
     write_labels(labels, default_labels_path(args.output))
     print(f"wrote {args.output} (n={g.n}, m={g.edge_count}) and {default_labels_path(args.output)}")
@@ -155,6 +147,8 @@ def _cmd_eval(args) -> int:
         first, second = (int(part) for part in args.pair.split(","))
     except ValueError:
         raise ValueError(f"--pair expects 'a,b', got {args.pair!r}")
+    if first == second:
+        raise ValueError(f"--pair needs two different labels, got {args.pair!r}")
     l, r = result.get("l", []), result.get("r", [])
     for name, ids in (("l", l), ("r", r)):
         if not isinstance(ids, list) or any(type(v) is not int for v in ids):
@@ -263,23 +257,13 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="generate a synthetic graph plus labels sidecar")
     gen_sub = gen.add_subparsers(dest="model", required=True, parser_class=_Parser)
-    gen_sbm_p = gen_sub.add_parser("sbm")
-    gen_sbm_p.add_argument("--n1", type=int, required=True)
-    gen_sbm_p.add_argument("--p1", type=float, required=True)
-    gen_sbm_p.add_argument("--q1", type=float, required=True)
-    gen_cbm_p = gen_sub.add_parser("cbm")
-    gen_cbmp_p = gen_sub.add_parser("cbm+")
-    for sp in (gen_cbm_p, gen_cbmp_p):
-        sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--p", type=float, default=0.001)
-        sp.add_argument("--q", type=float, default=0.01)
-        sp.add_argument("--eta", type=float, default=0.9)
-    gen_cbmp_p.add_argument("--n-prime", type=int, required=True)
-    gen_cbmp_p.add_argument("--q1-prime", type=float, default=0.5)
-    gen_cbmp_p.add_argument("--q2-prime", type=float, default=0.005)
-    gen_cbmp_p.add_argument("--eta-prime", type=float, default=1.0)
-    for sp in (gen_sbm_p, gen_cbm_p, gen_cbmp_p):
+    for model, (spec_type, _) in _MODELS.items():
+        sp = gen_sub.add_parser(model)
+        hints = get_type_hints(spec_type)
+        for f in fields(spec_type):
+            flag, required = "--" + f.name.replace("_", "-"), f.default is MISSING
+            default = None if required else f.default
+            sp.add_argument(flag, type=hints[f.name], required=required, default=default)
         sp.add_argument("--seed", type=int, default=DEFAULT_RNG_SEED)
         sp.add_argument("-o", "--output", required=True)
         sp.set_defaults(func=_cmd_generate)

@@ -35,21 +35,27 @@ def sorted_unique(arr: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
 
 
-def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """Normalize a vertex collection to a sorted, deduplicated int64 array.
-
-    Raises ValueError for ids that are not integer values (a fractional or non-finite float,
-    a bool array, or anything else not numeric) and for ids outside [0, n). An integer array
-    passes on its dtype alone. It dedups by sorting (`sorted_unique`), not by hashing.
-    """
-    arr = vertices if isinstance(vertices, np.ndarray) else np.asarray(list(vertices))
+def integer_ids(arr: np.ndarray) -> np.ndarray:
+    """`arr`, after raising ValueError if its vertex ids are not integer values: a fractional
+    or non-finite float, a bool array, or anything else not numeric. An integer array passes
+    on its dtype alone."""
     if arr.dtype.kind == "f":
         whole = np.isfinite(arr) & (arr == np.trunc(arr))
         if not whole.all():
             raise ValueError(f"vertex id {arr[~whole][0]} is not an integer")
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, not {arr.dtype}")
-    ids = sorted_unique(arr)
+    return arr
+
+
+def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """Normalize a vertex collection to a sorted, deduplicated int64 array.
+
+    Raises ValueError for ids that are not integer values (`integer_ids`) and for ids
+    outside [0, n). It dedups by sorting (`sorted_unique`), not by hashing.
+    """
+    arr = vertices if isinstance(vertices, np.ndarray) else np.asarray(list(vertices))
+    ids = sorted_unique(integer_ids(arr))
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"vertex id {bad} out of range [0, {n})")
@@ -183,18 +189,19 @@ class Graph:
         w: np.ndarray | None = None,
         directed: bool = False,
     ) -> "Graph":
-        """Build a graph from parallel endpoint/weight arrays (weights default to 1)."""
+        """Build a graph from parallel endpoint/weight arrays (weights default to 1).
+
+        Endpoints must be integer values (`integer_ids`); they are never truncated."""
         g = cls.__new__(cls)
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
         if w is None:
-            w = np.ones(u.size, dtype=np.float64)
+            w = np.ones(np.size(u), dtype=np.float64)
         else:
             w = np.asarray(w, dtype=np.float64)
         g._build(n, u, v, w, directed)
         return g
 
-    def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, directed: bool):
+    def _build(self, n: int, u, v, w: np.ndarray, directed: bool):
+        u, v = (integer_ids(np.asarray(ids)).astype(np.int64, copy=False) for ids in (u, v))
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
@@ -313,11 +320,7 @@ def _edge_arrays(edges: Iterable[tuple]):
         us.append(u)
         vs.append(v)
         ws.append(w)
-    return (
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws, dtype=np.float64),
-    )
+    return np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=np.float64)
 
 
 def conductance(g: Graph, vertices: Iterable[int]) -> float:

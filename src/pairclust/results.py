@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cover import conductance_in_cover, pair_to_cover_set
+from .cover import conductance_in_cover
 from .fileio import graph_fingerprint
 from .graph import Graph, as_vertex_array, bipartiteness, cut_imbalance, flow_ratio
 
@@ -49,6 +49,8 @@ def build_run_result(
     `graph` is the fingerprint: a hash of the CSR bytes, computed once per graph.
     `l` and `r` are sorted lists drawn from a per-graph table of vertex-id
     objects, built on first use, so the results of one graph share them.
+    A metric undefined for the pair is None: `conductance_in_cover` when L1 u R2
+    holds the whole cover volume, `cut_imbalance` when no edge joins L and R.
     """
     result = RunResult(
         algorithm=algorithm,
@@ -67,22 +69,26 @@ def build_run_result(
         ids = g._vertex_ids = np.arange(g.n).astype(object)
     result.l = ids[l].tolist()
     result.r = ids[r].tolist()
-    metrics: dict = {}
-    cover_set = pair_to_cover_set(result.l, result.r)
-    metrics["conductance_in_cover"] = conductance_in_cover(g, cover_set)
+    cover_keys = np.concatenate([2 * l, 2 * r + 1])  # the cover set L1 u R2
+    metrics: dict = {"conductance_in_cover": _or_none(conductance_in_cover, g, cover_keys)}
     volume = g._pair_volume(l, r)
     if g.directed:
         metrics["flow_ratio"] = flow_ratio(g, l, r)
         metrics["volume"] = volume
-        try:
-            metrics["cut_imbalance"] = cut_imbalance(g, l, r)
-        except ValueError:
-            metrics["cut_imbalance"] = None
+        metrics["cut_imbalance"] = _or_none(cut_imbalance, g, l, r)
     else:
         metrics["beta"] = bipartiteness(g, l, r)
         metrics["volume"] = volume
     result.metrics = metrics
     return result
+
+
+def _or_none(measure, *args):
+    """measure(*args), or None where the measure is undefined (it raises ValueError)."""
+    try:
+        return measure(*args)
+    except ValueError:
+        return None
 
 
 def run_result_json(result: RunResult) -> str:

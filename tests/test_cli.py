@@ -191,6 +191,18 @@ class TestClusterBipartite:
 
 
 class TestClusterDirected:
+    def test_pair_holding_the_whole_cover_volume_reports_null_conductance(self, tmp_path, capsys):
+        # the one arc 0 -> 1 is a perfect pair whose L1 u R2 holds the whole cover
+        # volume; its cover conductance is undefined and used to end the run with exit 3
+        path = tmp_path / "arc.edgelist"
+        path.write_text("0 1\n")
+        argv = ["cluster-directed", "-g", str(path), "--seed-vertex", "0", "--phi", "0.1"]
+        assert main(argv + ["--esp-steps", "5", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["found"] is True
+        assert data["metrics"]["flow_ratio"] == 0.0
+        assert data["metrics"]["conductance_in_cover"] is None
+
     def test_side_both_reports_lower_flow(self, tmp_path, capsys):
         path = small_digraph(tmp_path)
         code = main(
@@ -342,6 +354,20 @@ class TestEval:
         assert out == ""
         assert "label 7" in err and str(labels_path) in err
 
+    def test_pair_of_one_label_names_the_flag(self, tmp_path, capsys):
+        # `--pair 0,0` used to fail as "L and R must be disjoint", blaming the result
+        result_path = tmp_path / "r.json"
+        result_path.write_text(json.dumps({"l": [0], "r": [1], "found": True}))
+        labels_path = tmp_path / "g.labels"
+        labels_path.write_text("0 0\n1 0\n2 1\n")
+        code = main(
+            ["eval", "--output", str(result_path), "--labels", str(labels_path), "--pair", "0,0"]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--pair needs two different labels, got '0,0'" in err
+
 
 class TestOracle:
     def test_pagerank_check(self, tmp_path, capsys):
@@ -408,6 +434,24 @@ class TestBench:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["rows"]) == 2
+
+    @pytest.mark.parametrize(
+        "table, argv",
+        [
+            ("table1", ["--n1", "100", "--trials", "3"]),
+            ("table2", ["--trials", "2", "--esp-steps", "6"]),
+        ],
+    )
+    def test_matches_golden_apart_from_timing(self, capsys, table, argv):
+        # every row, param, mean and gate, in key order; only the timing fields drop out
+        assert main(["bench", table, *argv, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data.pop("total_seconds")
+        data["means"].pop("mean_wall_ms")
+        for row in data["rows"]:
+            row.pop("wall_ms")
+        golden = (DATA_DIR / f"golden_bench_{table}.json").read_text(encoding="utf-8")
+        assert json.dumps(data, indent=2) + "\n" == golden
 
     @pytest.mark.parametrize("table", ["table1", "table2"])
     def test_zero_trials_rejected(self, capsys, table):

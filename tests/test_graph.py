@@ -37,6 +37,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="range"):
             Graph(2, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(3, [(0, 1.9)]),
+            lambda: Graph(3, [(True, 2)]),
+            lambda: Graph(3, [(0, float("nan"))]),
+            lambda: Graph.from_arrays(3, np.array([0.5]), np.array([2.7])),
+            lambda: Graph.from_arrays(3, np.array([True]), np.array([2])),
+            lambda: Graph.from_arrays(3, np.array([0.0]), np.array([np.nan])),
+        ],
+        ids=["fraction", "bool", "nan", "arrays-fraction", "arrays-bool", "arrays-nan"],
+    )
+    def test_rejects_non_integer_endpoints(self, build):
+        # both constructors used to truncate: (0, 1.9) built the edge 0-1
+        with pytest.raises(ValueError, match="not an integer|must be integers"):
+            build()
+
+    def test_whole_float_endpoints_build_the_edge(self):
+        assert Graph.from_arrays(3, np.array([0.0]), np.array([2.0])).indices.tolist() == [2, 0]
+        assert Graph(3, [(2.0, 1)]).indices.tolist() == [2, 1]
+
     def test_parallel_edges_merge_by_weight_sum(self):
         g = Graph(2, [(0, 1, 1.5), (1, 0, 2.5)])
         assert g.edge_count == 1

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairclust import (
@@ -140,17 +140,25 @@ def test_cover_scan_matches_dense_cover(g, data):
 
 
 @settings(SETTINGS, max_examples=120)
-@given(g=st.one_of(graphs(), digraphs()), data=st.data())
-def test_pair_measures_read_one_volume_rule(g, data):
+@given(
+    g=st.one_of(graphs(), digraphs()),
+    side=st.lists(st.integers(0, 2), min_size=10, max_size=10),  # graphs have at most 10 vertices
+)
+# the arc 0 -> 1 as L = {0}, R = {1}: L1 u R2 holds the whole cover volume
+@example(g=Graph(2, [(0, 1)], directed=True), side=[1, 2] + [0] * 8)
+def test_pair_measures_read_one_volume_rule(g, side):
     # (L, R) is the cover set L1 u R2: the RunResult volume, the cover scan and beta / F
-    # all read one volume, summed over L and then R, so the volumes are bit-equal
-    side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    # all read one volume, summed over L and then R, so the volumes are bit-equal;
+    # side[v] puts vertex v < g.n in L (1), in R (2) or in neither (0)
     l = [v for v in range(g.n) if side[v] == 1]
     r = [v for v in range(g.n) if side[v] == 2]
     cut, vol = cover_cut_and_volume(g, pair_to_cover_set(l, r))
-    assume(0 < vol < total_cover_volume(g))  # so conductance_in_cover is defined
+    assume(0 < vol)
     result = build_run_result(g, "pair", 0, {}, SimpleNamespace(l=l, r=r), 0.0)
     assert result.metrics["volume"] == vol
+    rest = total_cover_volume(g) - vol  # 0 when L1 u R2 holds the whole cover volume
+    conductance = result.metrics["conductance_in_cover"]
+    assert conductance is None if rest <= 0 else abs(conductance - cut / min(vol, rest)) <= 1e-12
     ratio = result.metrics["flow_ratio" if g.directed else "beta"]
     assert abs(ratio - cut / vol) <= 1e-12
 
