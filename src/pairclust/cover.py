@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, row_positions, sorted_unique
+from .graph import MAX_VERTICES, Graph, as_id, as_ids, row_positions, sorted_unique
 
 __all__ = [
     "cover_vertex",
@@ -57,18 +57,6 @@ def cover_vertex(base: int, side: int) -> int:
     return 2 * base + (side - 1)
 
 
-def _check_cover_vertex(g: Graph, key: int):
-    if not 0 <= key < 2 * g.n:
-        raise ValueError(f"cover vertex {key} out of range [0, {2 * g.n})")
-
-
-def check_cover_keys(g: Graph, keys: np.ndarray):
-    """Raise ValueError naming the first key of an int64 array outside [0, 2n)."""
-    bad = keys[(keys < 0) | (keys >= 2 * g.n)]
-    if bad.size:
-        _check_cover_vertex(g, int(bad[0]))
-
-
 def cover_key_row(g: Graph, keys):
     """The row of g's CSR over cover rows that a cover key (or int64 key array) reads."""
     return (keys >> 1) + (keys & 1) * g.side2_row
@@ -80,8 +68,7 @@ def cover_degree(g: Graph, key: int) -> float:
     Equals deg(u) on both sides for undirected g; out-degree on side 1 and
     in-degree on side 2 for directed g.
     """
-    _check_cover_vertex(g, key)
-    return float(g.row_degrees[cover_key_row(g, key)])
+    return float(g.row_degrees[cover_key_row(g, as_id(key, g.n, cover=True))])
 
 
 def cover_row(g: Graph, key: int):
@@ -126,12 +113,9 @@ def total_cover_volume(g: Graph) -> float:
 
 
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
-    """(boundary weight, volume) of a cover set, through the reduction to (L, R)."""
-    if not isinstance(keys, np.ndarray):
-        keys = np.fromiter(keys, np.int64, len(keys) if hasattr(keys, "__len__") else -1)
-    k = sorted_unique(keys)
-    check_cover_keys(g, k)
-    l, r = to_cluster_pair(k)
+    """(boundary weight, volume) of a cover set, through the reduction to (L, R);
+    keys follow the one id rule (`graph.as_ids`)."""
+    l, r = to_cluster_pair(sorted_unique(as_ids(keys, g.n, cover=True)))
     vol = g._pair_volume(l, r)
     return vol - 2.0 * g._weight_between(l, r), vol
 
@@ -146,13 +130,16 @@ def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
 
 
 def pair_to_cover_set(l: Iterable[int], r: Iterable[int]) -> set:
-    """L1 u R2 as a cover set."""
-    return {2 * int(u) for u in l} | {2 * int(u) + 1 for u in r}
+    """L1 u R2 as a cover set. With no graph at hand, the ids are checked
+    (`graph.as_ids`) against the largest graph's vertex count, `MAX_VERTICES`."""
+    l, r = as_ids(l, MAX_VERTICES), as_ids(r, MAX_VERTICES)
+    return set((2 * l).tolist()) | set((2 * r + 1).tolist())
 
 
 def to_cluster_pair(keys: Iterable[int]):
-    """Split a cover set into (L, R): L from side-1 members, R from side-2."""
-    k = keys if isinstance(keys, np.ndarray) else np.fromiter(keys, dtype=np.int64)
+    """Split a cover set into (L, R): L from side-1 members, R from side-2. With no
+    graph at hand, the keys are checked (`graph.as_ids`) against the largest cover."""
+    k = as_ids(keys, MAX_VERTICES, cover=True)
     side2 = (k & 1).astype(bool)
     return np.sort(k[~side2] >> 1), np.sort(k[side2] >> 1)
 

@@ -43,7 +43,7 @@ from .cover import (
     epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, borrow_key_index, flow_ratio, give_back_key_index, sorted_unique
+from .graph import Graph, as_id, borrow_key_index, flow_ratio, give_back_key_index, sorted_unique
 
 __all__ = [
     "EspState",
@@ -136,6 +136,7 @@ class EspState:
     @classmethod
     def from_seed(cls, g: Graph, seed_key: int) -> "EspState":
         """Start from the singleton set of one cover vertex."""
+        seed_key = as_id(seed_key, g.n, cover=True)
         if cover_degree(g, seed_key) <= 0:
             raise ValueError(f"cover vertex {seed_key} has degree 0")
         return cls._build(g, {seed_key}, seed_key)
@@ -161,7 +162,7 @@ class EspState:
 
     def _q(self, key: int) -> float:
         """Q(key, S): one lazy-walk-step probability of landing in the current set."""
-        deg = cover_degree(self.graph, key)
+        deg = self.graph.row_degrees.item(cover_key_row(self.graph, key))
         mass, inside = self._lookup(key)
         if deg <= 0:
             return inside
@@ -383,7 +384,7 @@ class DirectedClusterPair:
     volume: float
 
 
-def _check_cleanup_bound(g: Graph, s: set, s_simple: set):
+def _check_cleanup_bound(g: Graph, s: np.ndarray, s_simple: np.ndarray):
     """Dropping doubled vertices degrades the boundary fraction by a bounded amount.
 
     Both sides use the set-volume form cut(X)/vol(X), which is the form the
@@ -425,8 +426,7 @@ def evo_cut_directed(
     """
     if not g.directed:
         raise ValueError("evo_cut_directed requires a directed graph")
-    if not 0 <= u < g.n:
-        raise ValueError(f"seed vertex {u} outside [0, {g.n})")
+    u = as_id(u, g.n)
     if side not in (1, 2, "both"):
         raise ValueError("side must be 1, 2 or 'both'")
     if not 0 < phi <= 1:
@@ -454,6 +454,8 @@ def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     s_simple = epsilon_simple_cleanup(s)
     if not s_simple:
         return None
+    # keys the sampler made itself, so read straight into int64 arrays
+    s, s_simple = (np.fromiter(keys, np.int64, len(keys)) for keys in (s, s_simple))
     _check_cleanup_bound(g, s, s_simple)
     l, r = to_cluster_pair(s_simple)
     vol = g._pair_volume(l, r)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, _edge_arrays, sorted_lookup
+from .graph import MAX_VERTICES, Graph, _edge_columns, sorted_lookup
 
 __all__ = [
     "ParseError",
@@ -151,7 +151,7 @@ def _line_edges(path):
         if not 0 < w < math.inf:
             raise ParseError(f"{path}:{lineno}: edge weight must be finite and > 0, got {w}")
         edges.append((u, v, w))
-    return _edge_arrays(edges)
+    return tuple(map(np.asarray, _edge_columns(edges)))
 
 
 def write_edge_list(g: Graph, path):

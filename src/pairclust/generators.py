@@ -45,14 +45,7 @@ class SbmSpec:
     def validate(self):
         if self.n1 < 1:
             raise ValueError("n1 must be at least 1")
-        for name, prob in (
-            ("p1", self.p1),
-            ("q1", self.q1),
-            ("p2", self.p2),
-            ("q2", self.q2),
-        ):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {name}={prob} outside [0, 1]")
+        _check_probabilities(p1=self.p1, q1=self.q1, p2=self.p2, q2=self.q2)
 
 
 @dataclass(frozen=True)
@@ -71,13 +64,11 @@ class CbmSpec:
     eta: float = 0.9
 
     def validate(self):
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
+        if self.k < 3:  # with k == 2 the cycle would sample each cross-cluster pair twice
+            raise ValueError(f"the cyclic block model requires k >= 3, got {self.k}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        for name, prob in (("p", self.p), ("q", self.q), ("eta", self.eta)):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {name}={prob} outside [0, 1]")
+        _check_probabilities(p=self.p, q=self.q, eta=self.eta)
 
 
 @dataclass(frozen=True)
@@ -104,16 +95,16 @@ class CbmPlusSpec:
         self.cbm().validate()
         if self.n_prime < 1:
             raise ValueError("n_prime must be at least 1")
-        for name, prob in (
-            ("q1_prime", self.q1_prime),
-            ("q2_prime", self.q2_prime),
-            ("eta_prime", self.eta_prime),
-        ):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {name}={prob} outside [0, 1]")
+        _check_probabilities(q1_prime=self.q1_prime, q2_prime=self.q2_prime, eta_prime=self.eta_prime)
 
     def cbm(self) -> CbmSpec:
         return CbmSpec(self.k, self.n, self.p, self.q, self.eta)
+
+
+def _check_probabilities(**probs: float):
+    for name, prob in probs.items():
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"probability {name}={prob} outside [0, 1]")
 
 
 def _bernoulli_indices(count: int, p: float, rng) -> np.ndarray:
@@ -197,14 +188,8 @@ def gen_sbm(spec: SbmSpec, seed: int):
 
 
 def gen_cbm(spec: CbmSpec, seed: int):
-    """Generate the cyclic block model; returns (graph, labels).
-
-    Requires k >= 3: with k == 2 the cycle definition would sample each
-    cross-cluster pair twice.
-    """
+    """Generate the cyclic block model; returns (graph, labels)."""
     spec.validate()
-    if spec.k < 3:
-        raise ValueError("gen_cbm requires k >= 3")
     rng = np.random.default_rng(seed)
     g = _graph(spec.k * spec.n, _cbm_arcs(spec, rng), directed=True)
     return g, np.repeat(np.arange(spec.k, dtype=np.int64), spec.n)
@@ -235,8 +220,6 @@ def gen_cbm_plus(spec: CbmPlusSpec, seed: int):
     carry labels k and k+1 and occupy the last 2*n_prime vertex ids.
     """
     spec.validate()
-    if spec.k < 3:
-        raise ValueError("gen_cbm_plus requires k >= 3")
     rng = np.random.default_rng(seed)
     arcs = _cbm_arcs(spec.cbm(), rng)
 

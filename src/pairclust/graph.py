@@ -35,31 +35,57 @@ def sorted_unique(arr: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
 
 
-def integer_ids(arr: np.ndarray) -> np.ndarray:
-    """`arr`, after raising ValueError if its vertex ids are not integer values: a fractional
-    or non-finite float, a bool array, or anything else not numeric. An integer array passes
-    on its dtype alone."""
-    if arr.dtype.kind == "f":
-        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+# What an error message calls one id and several, for a vertex and for a cover key.
+_ID_NAMES = {False: ("vertex id", "vertex ids"), True: ("cover vertex", "cover vertices")}
+
+
+def as_ids(ids, n: int, cover: bool = False) -> np.ndarray:
+    """The one id rule: `ids`, an array or any collection, as an int64 array of its shape.
+
+    An id is an integer value: a Python or numpy int, or a whole float such as 2.0.
+    It is never a bool, also mixed into a list of ints (which numpy reads as 1),
+    never fractional or non-finite, and lies in [0, n) for a vertex or in [0, 2n)
+    for a cover key (`cover`). The range is checked before the cast, so nothing
+    is truncated or wrapped; anything else raises a ValueError naming the id.
+    An integer array passes on its dtype, its min and its max.
+    """
+    noun, plural = _ID_NAMES[cover]
+    bound = 2 * n if cover else n
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+        if not {bool, np.bool_}.isdisjoint(map(type, ids)):
+            bad = next(x for x in ids if isinstance(x, (bool, np.bool_)))
+            raise ValueError(f"{noun} {bad} is not an integer")
+        ids = np.asarray(ids)
+    if ids.dtype.kind == "f":
+        whole = np.isfinite(ids) & (ids == np.trunc(ids))
         if not whole.all():
-            raise ValueError(f"vertex id {arr[~whole][0]} is not an integer")
-    elif arr.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, not {arr.dtype}")
-    return arr
+            raise ValueError(f"{noun} {ids[~whole][0]} is not an integer")
+    elif ids.dtype.kind not in "iu":
+        raise ValueError(f"{plural} must be integers, not {ids.dtype}")
+    if ids.size:
+        lo, hi = ids.min(), ids.max()
+        if lo < 0 or hi >= bound:
+            raise ValueError(f"{noun} {lo if lo < 0 else hi} out of range [0, {bound})")
+    return ids.astype(np.int64, copy=False)
+
+
+def as_id(x, n: int, cover: bool = False) -> int:
+    """One id by the rule of `as_ids`, as a Python int; an in-range int passes in O(1)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{_ID_NAMES[cover][0]} {x!r} is not an integer")
+    if isinstance(x, (int, np.integer)) and 0 <= x < (2 * n if cover else n):
+        return int(x)
+    return int(as_ids([x], n, cover)[0])
 
 
 def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Normalize a vertex collection to a sorted, deduplicated int64 array.
 
-    Raises ValueError for ids that are not integer values (`integer_ids`) and for ids
-    outside [0, n). It dedups by sorting (`sorted_unique`), not by hashing.
+    Ids follow the one id rule (`as_ids`). It dedups by sorting (`sorted_unique`),
+    not by hashing.
     """
-    arr = vertices if isinstance(vertices, np.ndarray) else np.asarray(list(vertices))
-    ids = sorted_unique(integer_ids(arr))
-    if ids.size and (ids[0] < 0 or ids[-1] >= n):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise ValueError(f"vertex id {bad} out of range [0, {n})")
-    return ids.astype(np.int64, copy=False)
+    return sorted_unique(as_ids(vertices, n))
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray):
@@ -177,8 +203,8 @@ class Graph:
     )
 
     def __init__(self, n: int, edges: Iterable[tuple], directed: bool = False):
-        u, v, w = _edge_arrays(edges)
-        self._build(n, u, v, w, directed)
+        u, v, w = _edge_columns(edges)
+        self._build(n, u, v, np.asarray(w, dtype=np.float64), directed)
 
     @classmethod
     def from_arrays(
@@ -191,7 +217,7 @@ class Graph:
     ) -> "Graph":
         """Build a graph from parallel endpoint/weight arrays (weights default to 1).
 
-        Endpoints must be integer values (`integer_ids`); they are never truncated."""
+        Endpoints follow the one id rule (`as_ids`); they are never truncated."""
         g = cls.__new__(cls)
         if w is None:
             w = np.ones(np.size(u), dtype=np.float64)
@@ -201,18 +227,14 @@ class Graph:
         return g
 
     def _build(self, n: int, u, v, w: np.ndarray, directed: bool):
-        u, v = (integer_ids(np.asarray(ids)).astype(np.int64, copy=False) for ids in (u, v))
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} above {MAX_VERTICES}: edge keys overflow int64")
+        u, v = as_ids(u, n), as_ids(v, n)
         if not (u.size == v.size == w.size):
             raise ValueError("endpoint and weight arrays must have equal length")
         if u.size:
-            lo = min(u.min(), v.min())
-            hi = max(u.max(), v.max())
-            if lo < 0 or hi >= n:
-                raise ValueError(f"edge endpoint out of range [0, {n})")
             if np.any(u == v):
                 raise ValueError("self-loops are not allowed")
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
@@ -263,20 +285,15 @@ class Graph:
 
     # -- degree / volume -------------------------------------------------
 
-    def _check_vertex(self, v: int):
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex id {v} out of range [0, {self.n})")
-
     def degree(self, v: int) -> float:
         """Weighted degree of v. Only defined for undirected graphs."""
         if self.directed:
             raise ValueError("degree() is undirected-only; read the degrees / in_degrees arrays")
-        self._check_vertex(v)
-        return float(self.degrees[v])
+        return float(self.degrees[as_id(v, self.n)])
 
     def neighbors(self, v: int):
         """Out-neighbors of v as (ids, weights) array views."""
-        self._check_vertex(v)
+        v = as_id(v, self.n)
         s, e = self.indptr[v], self.indptr[v + 1]
         return self.indices[s:e], self.weights[s:e]
 
@@ -309,7 +326,8 @@ class Graph:
         return float(self.degrees[l_ids].sum()) + float(self.in_degrees[r_ids].sum())
 
 
-def _edge_arrays(edges: Iterable[tuple]):
+def _edge_columns(edges: Iterable[tuple]):
+    """The endpoints and weights of (u, v[, w]) tuples as three lists, weights defaulting to 1."""
     us, vs, ws = [], [], []
     for edge in edges:
         if len(edge) == 2:
@@ -320,7 +338,7 @@ def _edge_arrays(edges: Iterable[tuple]):
         us.append(u)
         vs.append(v)
         ws.append(w)
-    return np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=np.float64)
+    return us, vs, ws
 
 
 def conductance(g: Graph, vertices: Iterable[int]) -> float:

@@ -18,14 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .cover import (
-    check_cover_keys,
     cover_degrees,
     cover_rows,
     cover_vertex,
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, bipartiteness, key_positions, sorted_lookup, sorted_merge
+from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_lookup, sorted_merge
 
 __all__ = [
     "AprState",
@@ -73,6 +72,7 @@ class AprState:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+        seed_vertex = as_id(seed_vertex, g.n)
         deg = g.degree(seed_vertex)
         if deg <= 0:
             raise ValueError(f"seed vertex {seed_vertex} has degree 0")
@@ -132,7 +132,7 @@ class AprState:
 
 def dcpush(state: AprState, u: int, side: int) -> AprState:
     """One push at cover vertex (u, side): a round whose frontier is that vertex alone."""
-    key = cover_vertex(u, side)
+    key = cover_vertex(as_id(u, state.graph.n), side)
     at, held = sorted_lookup(state.keys, np.array([key], dtype=np.int64))
     if not (held[0] and state.r_mass[at[0]] > 0.0):
         raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
@@ -192,9 +192,8 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
     support = {key: val for key, val in p.items() if val != 0.0}
     if not support:
         return None
-    keys = np.fromiter(support, dtype=np.int64, count=len(support))
+    keys = as_ids(support, g.n, cover=True)
     vals = np.fromiter(support.values(), dtype=np.float64, count=len(support))
-    check_cover_keys(g, keys)
     deg = cover_degrees(g, keys)
     order = np.lexsort((keys, -vals / deg))
     keys, deg = keys[order], deg[order]
@@ -271,8 +270,6 @@ def loc_bipart_dc(
                 f"beta_hat={beta_hat} gives teleport probability {alpha:.3g} outside (0, 1]; "
                 "pass an explicit alpha in (0, 1]"
             )
-    elif not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
     epsilon = 1.0 / (20.0 * gamma)
     if not 0 < epsilon < math.inf:
         raise ValueError(f"gamma={gamma} gives push threshold 1/(20*gamma) = {epsilon}")

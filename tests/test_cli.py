@@ -57,6 +57,13 @@ class TestGenerate:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("model, extra", [("cbm", []), ("cbm+", ["--n-prime", "3"])])
+    def test_cycle_of_two_clusters_exits_3(self, tmp_path, capsys, model, extra):
+        out = tmp_path / "g.edgelist"
+        assert main(["generate", model, "--k", "2", "--n", "10", *extra, "-o", str(out)]) == 3
+        assert "k >= 3, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestClusterBipartite:
     def test_finds_island_pair(self, tmp_path, capsys):

@@ -254,7 +254,7 @@ class TestEvoCutDirected:
     @pytest.mark.parametrize("u", [-1, 4])
     def test_seed_vertex_out_of_range(self, side, u):
         # the error names the seed vertex, not its cover key
-        with pytest.raises(ValueError, match=rf"seed vertex {u} outside \[0, 4\)"):
+        with pytest.raises(ValueError, match=rf"vertex id {u} out of range \[0, 4\)"):
             evo_cut_directed(small_digraph(), u, side, 0.1, np.random.default_rng(0), steps=3)
 
     def test_attempts_validation(self):
