@@ -6,19 +6,19 @@ where Q(y, S) is the one-step probability of landing in S. Conditioned on the
 walker staying degree-proportionally distributed inside the current set, the
 set marginal is exactly the volume-biased (Doob-transformed) chain, and each
 step only touches the current set and its boundary. The walk law reads the
-incremental neighbor masses. A sample returns only its final set; sets are
-measured (by `cover_cut_and_volume`, through the reduction to (L, R)) only by
-the cleanup-bound check.
+incremental neighbor masses. A sample returns only its final set, which goes
+to its pair as one sorted key array; only the cleanup-bound check rescans it
+(`cover_cut_and_volume`, through the reduction to (L, R)).
 
 A state has two forms with the same law. A sample starts in dict form: a dict
 of neighbor masses and a set of members, stepped by a loop over the tracked
-keys, which is the reference. Once it tracks `_VECTOR_MIN_KEYS` keys it is
-converted, once, to array form: keys in insertion order, positioned by the
-graph's key index, with aligned neighbor masses, membership flags and cover
-degrees, which each later step of the sample updates in place. An array step
-compares Q against the threshold in one pass and adds the changed keys' rows
-in one gather, sorted by key so that outputs are unchanged, as signed sums.
-Both forms draw nothing from the rng, so the walker moves and rng stream agree.
+keys, which is the reference. The step whose update may reach `_VECTOR_MIN_KEYS`
+tracked keys converts it, once, to array form: keys in insertion order,
+positioned by the graph's key index, with aligned neighbor masses, membership
+flags and cover degrees, which that update and each later step change in place.
+An array step compares Q against the threshold in one pass and adds the changed
+keys' rows in one gather, sorted by key so that outputs are unchanged, as signed
+sums. Both forms draw nothing from the rng, so the walker moves and rng stream agree.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .cover import (
     cover_row,
     cover_rows,
     cover_vertex,
-    epsilon_simple_cleanup,
     to_cluster_pair,
 )
-from .graph import Graph, as_id, borrow_key_index, flow_ratio, give_back_key_index, sorted_unique
+from .graph import Graph, as_id, borrow_key_index, flow_ratio, give_back_key_index
+from .graph import sorted_lookup, sorted_unique
 
 __all__ = [
     "EspState",
@@ -57,11 +57,12 @@ __all__ = [
 # Neighbor-mass residues below this are treated as exact zeros when pruning.
 _MASS_EPS = 1e-12
 
-# A sample's state takes the array form once this many keys are tracked
-# (members plus boundary). On the table2 digraph the numpy step wins from
-# about 64 keys on; at 128 its per-key int64/float64 arrays are at least
-# 1 KiB, so numpy's cache of freed small buffers (up to 7 per byte size under
-# 1 KiB) does not pin memory for every set size the process passes through.
+# A sample's state takes the array form for the update that may track this many
+# keys (the keys tracked plus the row lengths of the keys that join), so a step
+# that grows a small set into a large one runs on arrays. On the table2 digraph
+# the numpy step wins from about 64 keys on; at 128 its per-key int64/float64
+# arrays are at least 1 KiB, so numpy's cache of freed small buffers (up to 7 per
+# byte size under 1 KiB) does not pin memory for every set size it passes through.
 _VECTOR_MIN_KEYS = 128
 
 # A step count derived from phi fails above this instead of running. At about
@@ -175,11 +176,10 @@ def esp_step(state: EspState, rng) -> EspState:
     Work per step is proportional to the volume of the current set plus its
     boundary, independent of the graph size. Steps 3-4 (the superlevel set and
     the neighbor-mass update) run on the state's form: the dict loop, which is
-    the reference, while fewer than `_VECTOR_MIN_KEYS` keys are tracked, and
-    the array step from then on. The first step that finds the threshold
-    reached converts the state to arrays (keys in insertion order, positioned
-    by the graph's key index; changed keys are sorted by key, so outputs are
-    unchanged), kept for the rest of its sample. Both forms give the same set
+    the reference, and the array step from the update that may reach
+    `_VECTOR_MIN_KEYS` tracked keys on, where `_update_dict` converts the state
+    (keys in insertion order, positioned by the graph's key index; changed keys
+    are sorted by key, so outputs are unchanged). Both forms give the same set
     from the same state and take the same rng draws. With integer weights they
     give identical states; with other weights the neighbor masses and the
     volume may differ in the last bits, because they sum in another order.
@@ -199,8 +199,6 @@ def esp_step(state: EspState, rng) -> EspState:
     u = qx * (1.0 - rng.random())
 
     # 3-4. superlevel set of Q at the threshold, then the neighbor masses and volume
-    if state._members is not None and len(state.nbr_mass) >= _VECTOR_MIN_KEYS:
-        _to_arrays(state)
     if state._members is None:
         _update_vector(state, u)
     else:
@@ -213,7 +211,7 @@ def esp_step(state: EspState, rng) -> EspState:
 
 
 def _update_dict(state: EspState, u: float):
-    """Steps 3-4 as a loop over the tracked keys; the reference form."""
+    """Steps 3-4 as a loop over the tracked keys; the reference form, up to `_VECTOR_MIN_KEYS`."""
     g = state.graph
     members = state._members
     nbr_mass = state.nbr_mass
@@ -232,6 +230,11 @@ def _update_dict(state: EspState, u: float):
 
     # 4. incremental update of neighbor masses and volume
     added = new_members - members
+    rows, ptr = [cover_key_row(g, key) for key in added], g.row_indptr.item
+    if len(nbr_mass) + sum(ptr(row + 1) - ptr(row) for row in rows) >= _VECTOR_MIN_KEYS:
+        t = _to_arrays(state)  # step 4 on arrays, from the signs of this superlevel set
+        joined = np.fromiter(map(new_members.__contains__, nbr_mass), np.float64, len(t))
+        return _add_rows(state, joined - t.inside)
     removed = members - new_members
     for key in added:
         nbr_keys, ws, deg = cover_row(g, key)
@@ -263,29 +266,17 @@ def _to_arrays(state: EspState):
     inside = np.fromiter(map(state._members.__contains__, nbr_mass), np.float64, size)
     state.nbr_mass = _TrackedArrays(g, ids, mass, inside, cover_degrees(g, ids))
     state._members = None
+    return state.nbr_mass
 
 
 def _update_vector(state: EspState, u: float):
     """Steps 3-4 in place on the array form; same law as `_update_dict`.
 
-    Q comes from the cached cover degrees, and one comparison gives each
-    tracked key a sign: +1 joins the set, -1 leaves it, 0 stays. A step that
-    changes no member ends there. Otherwise the changed keys, sorted by key so
-    that no sum depends on insertion order, flip their flags and add their
-    signed degrees to the volume. Their cover rows are gathered at once,
-    signed and added by one `bincount` over the key index's positions
-    (untracked neighbors are first deduplicated by sorting, `sorted_unique`, and appended
-    with mass 0). When a key left, the reference's prune follows and renumbers the kept keys.
-    Q is computed with the reference's floating point operations (the one
-    swapped addition commutes exactly), so both forms pick the same set.
-    Outside the zero-degree case no array over the tracked keys is bool: a
-    bool array of fewer than 1024 keys would land in numpy's cache of small
-    buffers (see `_VECTOR_MIN_KEYS`), so the prune selects on a float score.
+    Q comes from the cached cover degrees, with the reference's floating point
+    operations (the one swapped addition commutes exactly), and one comparison
+    gives each tracked key a sign for `_add_rows`: +1 joins, -1 leaves, 0 stays.
     """
-    g = state.graph
     t = state.nbr_mass
-
-    # 3. superlevel set of Q at the threshold
     if t.deg.min() > 0:
         sign = 0.5 * t.mass
         sign /= t.deg
@@ -296,6 +287,22 @@ def _update_vector(state: EspState, u: float):
         sign = np.where(positive, q, t.inside)
     np.greater_equal(sign, u, out=sign)
     sign -= t.inside
+    _add_rows(state, sign)
+
+
+def _add_rows(state: EspState, sign: np.ndarray):
+    """Step 4 in place on the array form, from each tracked key's sign.
+
+    A step that changes no member ends here. Otherwise the changed keys, sorted by key so
+    that no sum depends on insertion order, flip their flags and add their
+    signed degrees to the volume. Their cover rows are gathered at once,
+    signed and added by one `bincount` over the key index's positions
+    (untracked neighbors are first deduplicated by sorting, `sorted_unique`, and appended
+    with mass 0). When a key left, the reference's prune follows and renumbers the kept keys.
+    Outside the zero-degree case no array over the tracked keys is bool (a bool array of
+    under 1024 keys lands in numpy's small-buffer cache, see `_VECTOR_MIN_KEYS`).
+    """
+    g, t = state.graph, state.nbr_mass
     changed = np.flatnonzero(sign)
     if not changed.size:
         return
@@ -384,26 +391,21 @@ class DirectedClusterPair:
     volume: float
 
 
-def _check_cleanup_bound(g: Graph, s: np.ndarray, s_simple: np.ndarray):
+def _check_cleanup_bound(g: Graph, s: np.ndarray, flow: float, vol: float):
     """Dropping doubled vertices degrades the boundary fraction by a bounded amount.
 
-    Both sides use the set-volume form cut(X)/vol(X), which is the form the
-    bound is stated in; with eps = vol(P)/vol(S) the cleaned set satisfies
-    cut(S')/vol(S') <= (cut(S)/vol(S) + eps) / (1 - eps).
+    Both sides use the set-volume form cut(X)/vol(X) that the bound is stated in:
+    with eps = vol(P)/vol(S), cut(S')/vol(S') <= (cut(S)/vol(S) + eps) / (1 - eps).
+    Only S is rescanned. By the reduction, S' = L'1 u R'2 has cut(S')/vol(S') = `flow`,
+    its `flow_ratio`, over vol(S') = `vol`, its `g._pair_volume`, both read from the graph.
     """
     cut_s, vol_s = cover_cut_and_volume(g, s)
-    cut_c, vol_c = cover_cut_and_volume(g, s_simple)
-    if vol_s <= 0 or vol_c <= 0:
+    if vol_s <= 0 or vol <= 0:  # past this, eps < 1
         return
-    eps = (vol_s - vol_c) / vol_s
-    if eps >= 1.0:
-        return
-    lhs = cut_c / vol_c
+    eps = (vol_s - vol) / vol_s
     rhs = (cut_s / vol_s + eps) / (1.0 - eps)
-    if lhs > rhs + 1e-12:
-        raise RuntimeError(
-            f"cleanup bound violated: {lhs} > {rhs} with eps={eps}"
-        )
+    if flow > rhs + 1e-12:
+        raise RuntimeError(f"cleanup bound violated: {flow} > {rhs} with eps={eps}")
 
 
 def evo_cut_directed(
@@ -451,14 +453,14 @@ def evo_cut_directed(
 def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
     s = generate_sample(g, seed_key, t, rng)
-    s_simple = epsilon_simple_cleanup(s)
-    if not s_simple:
+    s = np.sort(np.fromiter(s, np.int64, len(s)))  # keys the sampler made: no id check
+    s_simple = s[~sorted_lookup(s, s ^ 1)[1]]  # drop both copies of each doubled vertex
+    if not s_simple.size:
         return None
-    # keys the sampler made itself, so read straight into int64 arrays
-    s, s_simple = (np.fromiter(keys, np.int64, len(keys)) for keys in (s, s_simple))
-    _check_cleanup_bound(g, s, s_simple)
     l, r = to_cluster_pair(s_simple)
     vol = g._pair_volume(l, r)
     if vol <= 0:
         return None
-    return DirectedClusterPair(l=l, r=r, flow=flow_ratio(g, l, r), volume=vol)
+    flow = flow_ratio(g, l, r)
+    _check_cleanup_bound(g, s, flow, vol)
+    return DirectedClusterPair(l=l, r=r, flow=flow, volume=vol)

@@ -62,6 +62,9 @@ def as_ids(ids, n: int, cover: bool = False) -> np.ndarray:
         if not whole.all():
             raise ValueError(f"{noun} {ids[~whole][0]} is not an integer")
     elif ids.dtype.kind not in "iu":
+        for x in ids.flat if ids.dtype == object else ():  # holds a Python int past int64
+            if isinstance(x, (int, np.integer)) and not 0 <= x < bound:
+                raise ValueError(f"{noun} {x} out of range [0, {bound})")
         raise ValueError(f"{plural} must be integers, not {ids.dtype}")
     if ids.size:
         lo, hi = ids.min(), ids.max()

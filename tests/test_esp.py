@@ -11,6 +11,7 @@ from pairclust import (
     Graph,
     bipartiteness,
     cover_vertex,
+    epsilon_simple_cleanup,
     esp_step,
     evo_cut_directed,
     exact_esp_kernel,
@@ -20,6 +21,7 @@ from pairclust import (
     pair_to_cover_set,
     steps_for_target_flow,
     sweep_cut,
+    to_cluster_pair,
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
@@ -297,6 +299,59 @@ class TestEvoCutDirected:
             assert a.l.tolist() == b.l.tolist()
             assert a.r.tolist() == b.r.tolist()
             assert a.flow == b.flow
+
+
+def _seeded_samples():
+    """(graph, sample) from seeded random digraphs, weighted and not; some hold doubled keys."""
+    for trial in range(24):
+        g = random_directed(np.random.default_rng(trial), 16, p=0.2, weighted=trial % 2 == 1)
+        u = int(np.flatnonzero((g.degrees > 0) & (g.in_degrees > 0))[0])
+        seed_key = cover_vertex(u, 1 + trial % 2)
+        yield g, generate_sample(g, seed_key, 3 + trial % 5, np.random.default_rng(trial))
+
+
+class TestCleanupBoundCheck:
+    """The check rescans the sample only; the cleaned pair's side is its own flow ratio."""
+
+    def test_violated_bound_raises(self):
+        g = random_directed(np.random.default_rng(1), 16, p=0.2)
+        assert evo_cut_directed(g, 0, 1, 0.1, np.random.default_rng(2), steps=4).flow > 0
+        scan = esp.cover_cut_and_volume
+        calls = []
+
+        def cut_free(g, keys):  # S reads as having no boundary at its true volume
+            calls.append(1)
+            return 0.0, scan(g, keys)[1]
+
+        with mock.patch.object(esp, "cover_cut_and_volume", cut_free):
+            with pytest.raises(RuntimeError, match="cleanup bound violated"):
+                evo_cut_directed(g, 0, 1, 0.1, np.random.default_rng(2), steps=4)
+        assert calls == [1]  # one rescan per attempt: the sample's
+
+    def test_flow_ratio_is_the_cleaned_sets_boundary_fraction(self):
+        checked = 0
+        for g, s in _seeded_samples():
+            clean = epsilon_simple_cleanup(s)
+            l, r = to_cluster_pair(clean)
+            cut, vol = cover_cut_and_volume(g, clean)
+            if vol <= 0:
+                continue
+            assert g._pair_volume(l, r) == vol
+            assert abs(flow_ratio(g, l, r) - cut / vol) <= 1e-12
+            checked += 1
+        assert checked >= 15
+
+    def test_array_drop_of_doubled_keys_is_the_cleanup(self):
+        doubled = 0
+        for g, s in _seeded_samples():
+            split = mock.Mock(wraps=esp.to_cluster_pair)
+            sample = mock.Mock(return_value=s)
+            with mock.patch.multiple(esp, generate_sample=sample, to_cluster_pair=split):
+                esp._sample_pair(g, 0, 1, None)
+            clean = epsilon_simple_cleanup(s)
+            assert (split.call_args.args[0].tolist() if split.called else []) == sorted(clean)
+            doubled += len(clean) < len(s)
+        assert doubled >= 3
 
 
 class TestArrayFormMapping:

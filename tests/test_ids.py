@@ -57,7 +57,7 @@ ENTRY_POINTS = [
     ("to_cluster_pair", lambda ids: to_cluster_pair(ids), True, True, False),
 ]
 
-BAD = ["True", "1.5", "1e20", "-1", "n", "[0, True]"]
+BAD = ["True", "1.5", "1e20", "-1", "n", "[0, True]", "2**70", "-2**70"]
 
 
 def _cases():
@@ -76,6 +76,8 @@ def test_bad_id_is_a_value_error_naming_it(call, collection, cover, bad):
         "-1": -1,
         "n": 2 * N if cover else N,
         "[0, True]": [0, True],
+        "2**70": 2**70,  # a Python int past int64, which numpy holds in an object array
+        "-2**70": -(2**70),
     }[bad]
     if isinstance(value, list):
         named = "True" if collection else "[0, True]"
@@ -95,3 +97,26 @@ def test_whole_float_seed_is_the_integer_seed():
     assert (a.l.tolist(), a.r.tolist(), a.flow, a.volume) == (
         b.l.tolist(), b.r.tolist(), b.flow, b.volume
     )
+
+
+BIG = "1180591620717411303424"  # 2**70, past int64, so numpy holds it in an object array
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: G.degree(2**70), f"vertex id {BIG} out of range [0, 4)"),
+        (lambda: G.volume([2**70]), f"vertex id {BIG} out of range [0, 4)"),
+        (lambda: G.volume([1, 2**70]), f"vertex id {BIG} out of range [0, 4)"),
+        (lambda: cover_degree(G, -(2**70)), f"cover vertex -{BIG} out of range [0, 8)"),
+    ],
+    ids=["degree", "volume", "volume-mixed", "cover-key"],
+)
+def test_int_past_int64_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_object_array_of_in_range_ints_is_still_refused():
+    with pytest.raises(ValueError, match=r"^vertex ids must be integers, not object$"):
+        G.volume(np.array([1, 2], dtype=object))

@@ -305,6 +305,29 @@ def test_esp_array_state_carried_across_steps(start):
     assert to_arrays.call_count == 1
 
 
+@settings(SETTINGS, max_examples=100)
+@given(start=esp_starts(), data=st.data())
+def test_esp_form_switch_inside_a_step_agrees(start, data):
+    """A threshold between the start's tracked count and its reach switches forms inside a step.
+
+    The reach (tracked keys plus all their row lengths) bounds what one update
+    can track. Whichever step crosses the threshold, the state stays the dict
+    reference's twin, and a sample converts at most once.
+    """
+    state, integer, steps, seed = start
+    g, tracked = state.graph, len(state.nbr_mass)
+    reach = tracked + cover_rows(g, np.fromiter(state.nbr_mass, np.int64))[0].size
+    min_keys = data.draw(st.integers(tracked, reach), label="min_keys")
+    by_dict, by_switch = clone_state(state), clone_state(state)
+    to_arrays = mock.Mock(wraps=esp._to_arrays)
+    with mock.patch.multiple(esp, _to_arrays=to_arrays, _VECTOR_MIN_KEYS=min_keys):
+        for step in range(steps + 4):
+            by_dict = _step_with(by_dict, [seed, step], 2**62)
+            esp_step(by_switch, np.random.default_rng([seed, step]))
+            _assert_same_state(by_switch, by_dict, integer)
+    assert to_arrays.call_count <= 1
+
+
 def test_esp_array_state_prunes_like_dict():
     """A shrinking start set, stepped in array form throughout, drops the keys the reference drops."""
     rng = np.random.default_rng(11)
