@@ -13,8 +13,6 @@ from .cover import (
     cover_degree,
     cover_rows,
     cover_vertex,
-    epsilon_simple_cleanup,
-    pair_to_cover_set,
     to_cluster_pair,
     total_cover_volume,
 )
@@ -50,7 +48,6 @@ from .pagerank import (
     AprState,
     ClusterPair,
     approximate_pagerank_dc,
-    dcpush,
     loc_bipart_dc,
     simplify,
     sweep_cut,

@@ -30,6 +30,7 @@ from .fileio import (
     write_labels,
 )
 from .generators import CbmPlusSpec, CbmSpec, SbmSpec, gen_cbm, gen_cbm_plus, gen_sbm
+from .graph import as_id
 from .metrics import ari, misclassified_ratio, pair_labeling
 from .oracle import exact_esp_kernel, exact_pagerank, ls_curve
 from .pagerank import approximate_pagerank_dc, loc_bipart_dc, simplify
@@ -184,11 +185,9 @@ def _parse_cover_set(text: str) -> set:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
     if args.check == "pagerank":
-        if not 0 <= args.seed_vertex < g.n:
-            raise ValueError(f"--seed-vertex {args.seed_vertex} outside [0, {g.n})")
-        dim = g.n if args.base else 2 * g.n
-        s = np.zeros(dim)
-        s[args.seed_vertex if args.base else cover_vertex(args.seed_vertex, args.side)] = 1.0
+        seed = as_id(args.seed_vertex, g.n)
+        s = np.zeros(g.n if args.base else 2 * g.n)
+        s[seed if args.base else cover_vertex(seed, args.side)] = 1.0
         vec = exact_pagerank(g, not args.base, args.alpha, s)
         if args.base:
             entries = [{"vertex": v, "mass": m} for v, m in enumerate(vec.tolist()) if m > 0]

@@ -15,6 +15,7 @@ side-1 copies and R those of its side-2 copies, the cover edges inside S are
 exactly the base edges from L to R, so vol(S) = vol_out(L) + vol_in(R) and
 cut(S) = vol(S) - 2 e(L->R), even when S holds both copies of a vertex.
 `cover_cut_and_volume` measures every cover set this way, with `Graph._pair_volume`.
+The lift of (L, R) to L1 u R2 and the cleanup of doubled vertices are in `oracle`.
 
 Read forwards, the lift is written once. Key k reads one row of the graph's
 CSR over cover rows, row ``(k >> 1) + (k & 1) * side2_row`` (see `Graph`):
@@ -44,17 +45,15 @@ __all__ = [
     "total_cover_volume",
     "cover_cut_and_volume",
     "conductance_in_cover",
-    "pair_to_cover_set",
     "to_cluster_pair",
-    "epsilon_simple_cleanup",
 ]
 
 
 def cover_vertex(base: int, side: int) -> int:
-    """Encode (base, side) as a cover-vertex key."""
-    if not isinstance(side, (int, np.integer)) or side not in (1, 2):
+    """Encode (base, side) as a cover-vertex key; base is checked (`as_id`) below `MAX_VERTICES`."""
+    if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    return 2 * base + (side - 1)
+    return 2 * as_id(base, MAX_VERTICES) + (side - 1)
 
 
 def cover_key_row(g: Graph, keys):
@@ -129,22 +128,9 @@ def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
     return cut / denom
 
 
-def pair_to_cover_set(l: Iterable[int], r: Iterable[int]) -> set:
-    """L1 u R2 as a cover set. With no graph at hand, the ids are checked
-    (`graph.as_ids`) against the largest graph's vertex count, `MAX_VERTICES`."""
-    l, r = as_ids(l, MAX_VERTICES), as_ids(r, MAX_VERTICES)
-    return set((2 * l).tolist()) | set((2 * r + 1).tolist())
-
-
 def to_cluster_pair(keys: Iterable[int]):
     """Split a cover set into (L, R): L from side-1 members, R from side-2. With no
     graph at hand, the keys are checked (`graph.as_ids`) against the largest cover."""
     k = as_ids(keys, MAX_VERTICES, cover=True)
     side2 = (k & 1).astype(bool)
     return np.sort(k[~side2] >> 1), np.sort(k[side2] >> 1)
-
-
-def epsilon_simple_cleanup(keys: Iterable[int]) -> set:
-    """Drop both copies of every doubled base vertex; the result is always simple."""
-    s = set(keys)
-    return {key for key in s if key ^ 1 not in s}

@@ -7,8 +7,9 @@ walker staying degree-proportionally distributed inside the current set, the
 set marginal is exactly the volume-biased (Doob-transformed) chain, and each
 step only touches the current set and its boundary. The walk law reads the
 incremental neighbor masses. A sample returns only its final set, which goes
-to its pair as one sorted key array; only the cleanup-bound check rescans it
-(`cover_cut_and_volume`, through the reduction to (L, R)).
+to its pair as one sorted key array with both copies of each doubled vertex
+dropped through the graph's key index (`graph.key_positions`, the sweep's rule);
+only the cleanup-bound check rescans it (`cover_cut_and_volume`).
 
 A state has two forms with the same law. A sample starts in dict form: a dict
 of neighbor masses and a set of members, stepped by a loop over the tracked
@@ -43,7 +44,7 @@ from .cover import (
     to_cluster_pair,
 )
 from .graph import Graph, as_id, borrow_key_index, flow_ratio, give_back_key_index
-from .graph import sorted_lookup, sorted_unique
+from .graph import key_positions, sorted_unique
 
 __all__ = [
     "EspState",
@@ -454,7 +455,7 @@ def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
     s = generate_sample(g, seed_key, t, rng)
     s = np.sort(np.fromiter(s, np.int64, len(s)))  # keys the sampler made: no id check
-    s_simple = s[~sorted_lookup(s, s ^ 1)[1]]  # drop both copies of each doubled vertex
+    s_simple = s[key_positions(g, s, s ^ 1) < 0]  # drop both copies of each doubled vertex
     if not s_simple.size:
         return None
     l, r = to_cluster_pair(s_simple)

@@ -1,20 +1,27 @@
 """Slow exact references: dense Pagerank, brute-force set search, exact ESP kernel, LS curve.
 
 Everything here trades speed for verifiability and is size-guarded; exceeding
-a guard raises instead of silently approximating.
+a guard raises instead of silently approximating. It also states the paper's
+definitions that tests compare against and no pipeline calls: the one-vertex push,
+the lift of (L, R) to the cover set L1 u R2 and the cleanup of doubled vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .cover import cover_degree, pair_to_cover_set, total_cover_volume
-from .graph import Graph, bipartiteness, conductance
+from .cover import cover_degree, cover_vertex, total_cover_volume
+from .graph import MAX_VERTICES, Graph, as_id, as_ids, bipartiteness, conductance
+from .pagerank import AprState
 
 __all__ = [
+    "dcpush",
+    "pair_to_cover_set",
+    "epsilon_simple_cleanup",
     "dense_cover_adjacency",
     "dense_walk_matrix",
     "exact_pagerank",
@@ -28,6 +35,29 @@ __all__ = [
 _PAGERANK_GUARD = 4096
 _PAIR_GUARD = 8
 _KERNEL_GUARD = 24
+
+
+def dcpush(state: AprState, u: int, side: int) -> AprState:
+    """One push at cover vertex (u, side): a round whose frontier is that vertex alone."""
+    key = cover_vertex(as_id(u, state.graph.n), side)
+    at = np.flatnonzero(state.keys == key)
+    if not (at.size and state.r_mass[at[0]] > 0.0):
+        raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
+    state._push(at)
+    return state
+
+
+def pair_to_cover_set(l: Iterable[int], r: Iterable[int]) -> set:
+    """L1 u R2 as a cover set. With no graph at hand, the ids are checked
+    (`graph.as_ids`) against the largest graph's vertex count, `MAX_VERTICES`."""
+    l, r = as_ids(l, MAX_VERTICES), as_ids(r, MAX_VERTICES)
+    return set((2 * l).tolist()) | set((2 * r + 1).tolist())
+
+
+def epsilon_simple_cleanup(keys: Iterable[int]) -> set:
+    """Drop both copies of every doubled base vertex; the result is always simple."""
+    s = set(keys)
+    return {key for key in s if key ^ 1 not in s}
 
 
 def dense_cover_adjacency(g: Graph) -> np.ndarray:
@@ -172,11 +202,9 @@ def exact_esp_kernel(g: Graph, s: set):
     """
     if 2 * g.n > _KERNEL_GUARD:
         raise ValueError(f"kernel guard exceeded: {2 * g.n} > {_KERNEL_GUARD}")
-    s = set(s)
+    s = set(as_ids(s, g.n, cover=True).tolist())
     if not s:
         raise ValueError("start set must be nonempty")
-    if min(s) < 0 or max(s) >= 2 * g.n:
-        raise ValueError(f"start set must hold cover vertices in [0, {2 * g.n})")
     adj = dense_cover_adjacency(g)
     deg = adj.sum(axis=1)
     q = _membership_probabilities(adj, deg, s)

@@ -24,11 +24,10 @@ from .cover import (
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_lookup, sorted_merge
+from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_merge
 
 __all__ = [
     "AprState",
-    "dcpush",
     "approximate_pagerank_dc",
     "simplify",
     "ClusterPair",
@@ -128,16 +127,6 @@ class AprState:
         )
         self.deg[added] = cover_degrees(g, self.keys[added])
         self.r_mass[at] += np.bincount(inverse, weights=shares, minlength=uniq.size)
-
-
-def dcpush(state: AprState, u: int, side: int) -> AprState:
-    """One push at cover vertex (u, side): a round whose frontier is that vertex alone."""
-    key = cover_vertex(as_id(u, state.graph.n), side)
-    at, held = sorted_lookup(state.keys, np.array([key], dtype=np.int64))
-    if not (held[0] and state.r_mass[at[0]] > 0.0):
-        raise ValueError(f"dcpush requires positive residual at cover vertex ({u}, {side})")
-    state._push(at)
-    return state
 
 
 def approximate_pagerank_dc(g: Graph, v: int, alpha: float, epsilon: float):

@@ -24,7 +24,6 @@ from pairclust import (
     flow_ratio,
     generate_sample,
     loc_bipart_dc,
-    pair_to_cover_set,
     run_table1,
     run_table2,
     simplify,
@@ -32,7 +31,7 @@ from pairclust import (
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume
-from pairclust.oracle import dense_walk_matrix
+from pairclust.oracle import dense_walk_matrix, pair_to_cover_set
 from helpers import (
     clone_state,
     dense_cover_conductance,

@@ -393,7 +393,7 @@ class TestOracle:
         path = bipartite_island(tmp_path)
         code = main(["oracle", "pagerank", "-g", str(path), "--seed-vertex", vertex])
         assert code == 3
-        assert f"--seed-vertex {vertex} outside [0, 7)" in capsys.readouterr().err
+        assert f"vertex id {vertex} out of range [0, 7)" in capsys.readouterr().err
 
     def test_kernel_check(self, tmp_path, capsys):
         path = small_digraph(tmp_path)

@@ -8,13 +8,12 @@ from pairclust import (
     cover_degree,
     cover_rows,
     cover_vertex,
-    epsilon_simple_cleanup,
     flow_ratio,
-    pair_to_cover_set,
     to_cluster_pair,
     total_cover_volume,
 )
 from pairclust.cover import cover_cut_and_volume
+from pairclust.oracle import epsilon_simple_cleanup, pair_to_cover_set
 from helpers import (
     dense_cover_conductance,
     doubled_part,

@@ -11,14 +11,12 @@ from pairclust import (
     Graph,
     bipartiteness,
     cover_vertex,
-    epsilon_simple_cleanup,
     esp_step,
     evo_cut_directed,
     exact_esp_kernel,
     flow_ratio,
     generate_sample,
     loc_bipart_dc,
-    pair_to_cover_set,
     steps_for_target_flow,
     sweep_cut,
     to_cluster_pair,
@@ -26,6 +24,7 @@ from pairclust import (
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
 from pairclust.generators import CbmPlusSpec, SbmSpec, gen_cbm_plus, gen_sbm
+from pairclust.oracle import epsilon_simple_cleanup, pair_to_cover_set
 from helpers import clone_state, esp_state_from_set, random_directed
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pairclust import Graph, bipartiteness, conductance, cut_imbalance, flow_ratio
-from pairclust.cover import cover_cut_and_volume, pair_to_cover_set
+from pairclust.cover import cover_cut_and_volume
 from pairclust.graph import as_vertex_array, sorted_unique
+from pairclust.oracle import pair_to_cover_set
 from helpers import random_disjoint_pair, random_undirected
 
 

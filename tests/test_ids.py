@@ -17,15 +17,16 @@ from pairclust import (
     Graph,
     conductance_in_cover,
     cover_degree,
-    dcpush,
+    cover_vertex,
     evo_cut_directed,
+    exact_esp_kernel,
     loc_bipart_dc,
-    pair_to_cover_set,
     sweep_cut,
     to_cluster_pair,
 )
 from pairclust.cover import cover_cut_and_volume
 from pairclust.graph import as_vertex_array
+from pairclust.oracle import dcpush, pair_to_cover_set
 
 N = 4
 G = Graph(N, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -49,10 +50,12 @@ ENTRY_POINTS = [
     ("dcpush", lambda x: dcpush(AprState(G, 0, 0.5, 1e-3), x, 1), False, False, True),
     ("evo_cut_directed", lambda x: evo_cut_directed(DG, x, 1, 0.1, _rng(), steps=3), False, False, True),
     ("pair_to_cover_set", lambda ids: pair_to_cover_set(ids, []), True, False, False),
+    ("cover_vertex", lambda x: cover_vertex(x, 1), False, False, False),
     ("cover_degree", lambda x: cover_degree(G, x), False, True, True),
     ("EspState.from_seed", lambda x: EspState.from_seed(DG, x), False, True, True),
     ("cover_cut_and_volume", lambda ids: cover_cut_and_volume(G, ids), True, True, True),
     ("conductance_in_cover", lambda ids: conductance_in_cover(G, ids), True, True, True),
+    ("exact_esp_kernel", lambda ids: exact_esp_kernel(DG, ids), True, True, True),
     ("sweep_cut", lambda ids: sweep_cut(G, dict.fromkeys(ids, 1.0), 0.9), True, True, True),
     ("to_cluster_pair", lambda ids: to_cluster_pair(ids), True, True, False),
 ]

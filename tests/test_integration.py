@@ -1,20 +1,25 @@
 """End-to-end workflows across modules: flow-matrix ingestion to directed clustering."""
 
+import importlib
 import json
+import pkgutil
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import pairclust
 from pairclust import (
     Graph,
     build_run_result,
+    cover,
     esp,
     evo_cut_directed,
     flow_ratio,
     load_flow_matrix,
     loc_bipart_dc,
     misclassified_ratio,
+    oracle,
     pagerank,
     run_result_json,
 )
@@ -149,11 +154,21 @@ def test_queries_deduplicate_without_hashing():
 
 
 def test_sweep_and_result_read_the_key_index_not_sorted_lookup():
-    # the sweep's simple-support check and internal-edge ranks, and the pair
-    # measures, read positions from the graph's key index (graph.key_positions)
+    # the sweep's simple-support check and internal-edge ranks, the pair measures
+    # and the directed pair's drop of doubled keys read positions from the graph's
+    # key index (graph.key_positions): neither pipeline module binds sorted_lookup
+    assert not hasattr(pagerank, "sorted_lookup") and not hasattr(esp, "sorted_lookup")
     g = gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
-    lookup = mock.Mock(wraps=pagerank.sorted_lookup)
-    with mock.patch.object(pagerank, "sorted_lookup", lookup):
-        pair = loc_bipart_dc(g, 0, 200.0, 0.3, alpha=0.3)
-        assert build_run_result(g, "cluster-bipartite", 0, {}, pair, 0.0).found
-    assert lookup.call_count == 0
+    pair = loc_bipart_dc(g, 0, 200.0, 0.3, alpha=0.3)
+    assert build_run_result(g, "cluster-bipartite", 0, {}, pair, 0.0).found
+
+
+def test_public_names_resolve_and_the_references_live_in_oracle():
+    for info in pkgutil.iter_modules(pairclust.__path__):
+        module = importlib.import_module(f"pairclust.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names a missing {name}"
+    for name in ("dcpush", "epsilon_simple_cleanup", "pair_to_cover_set"):
+        assert name in oracle.__all__ and callable(getattr(oracle, name))
+        for module in (pairclust, pagerank, cover):
+            assert not hasattr(module, name), f"{module.__name__} still holds {name}"

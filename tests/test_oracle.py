@@ -10,12 +10,11 @@ from pairclust import (
     exact_esp_kernel,
     exact_pagerank,
     ls_curve,
-    pair_to_cover_set,
     to_cluster_pair,
     total_cover_volume,
 )
 from pairclust.cover import cover_degree
-from pairclust.oracle import dense_walk_matrix
+from pairclust.oracle import dense_walk_matrix, pair_to_cover_set
 from pairclust.pagerank import approximate_pagerank_dc, simplify
 from helpers import random_connected_undirected, random_directed, random_undirected
 

@@ -13,7 +13,6 @@ from pairclust import (
     approximate_pagerank_dc,
     bipartiteness,
     brute_force_min_conductance,
-    dcpush,
     exact_pagerank,
     loc_bipart_dc,
     simplify,
@@ -21,7 +20,7 @@ from pairclust import (
     theorem1_beta_hat,
 )
 from pairclust.cover import cover_cut_and_volume
-from pairclust.oracle import dense_walk_matrix
+from pairclust.oracle import dcpush, dense_walk_matrix
 from helpers import dense_to_mass, mass_to_dense, random_undirected
 
 
@@ -56,7 +55,8 @@ class TestDcpush:
             dcpush(state, 1, 1)
         # the check is not an assert, so `python -O` keeps it
         code = (
-            "from pairclust import AprState, Graph, dcpush\n"
+            "from pairclust import AprState, Graph\n"
+            "from pairclust.oracle import dcpush\n"
             "dcpush(AprState(Graph(2, [(0, 1)]), 0, alpha=0.5, epsilon=1e-3), 1, 1)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(pairclust.__file__).parents[1])}

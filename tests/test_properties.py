@@ -39,10 +39,9 @@ from pairclust.cover import (
     cover_degree,
     cover_degrees,
     cover_rows,
-    pair_to_cover_set,
     total_cover_volume,
 )
-from pairclust.oracle import dense_cover_adjacency
+from pairclust.oracle import dense_cover_adjacency, pair_to_cover_set
 from helpers import clone_state, dense_cover_cut_and_volume, esp_state_from_set
 
 SETTINGS = settings(
