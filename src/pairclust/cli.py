@@ -178,7 +178,11 @@ def _parse_cover_set(text: str) -> set:
     keys = set()
     for item in text.split(","):
         base, _, side = item.partition(":")
-        keys.add(cover_vertex(int(base), int(side)))
+        try:
+            base, side = int(base), int(side)
+        except ValueError:
+            raise ValueError(f"--set expects base:side,... got {item!r}") from None
+        keys.add(cover_vertex(base, side))
     return keys
 
 

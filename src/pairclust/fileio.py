@@ -1,15 +1,19 @@
-"""File formats: edge lists, pairwise flow matrices, label and name sidecars."""
+"""File formats: edge lists, pairwise flow matrices, label and name sidecars.
+
+One reader, `_read_rows`, parses edge lists and flow matrices, each given as a `_Format`:
+one `np.loadtxt` pass with bulk checks, and the line parser, which names `path:line`,
+for any file that pass refuses. Both paths give the same arrays."""
 
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, _edge_columns, sorted_lookup
+from .graph import MAX_VERTICES, Graph, sorted_lookup
 
 __all__ = [
     "ParseError",
@@ -27,7 +31,25 @@ class ParseError(ValueError):
     """Malformed input file; the message carries the offending line number."""
 
 
-_EDGE_FIELDS = [("u", "i8"), ("v", "i8"), ("w", "f8")]
+class _Format(NamedTuple):
+    """Rows `u v [w]`: the delimiter (None: whitespace), the field counts (widest first),
+    the usage shown for a malformed line, and the value rules. A rule is a predicate of
+    (u, v, w), scalars or arrays, and the message (of u and w) for a line it refuses."""
+
+    delimiter: str | None
+    widths: tuple
+    usage: str
+    rules: tuple
+
+
+_EDGE_LIST = _Format(None, (3, 2), "u v [w]", (
+    (lambda u, v, w: u != v, "self-loop at vertex {u}"),
+    (lambda u, v, w: (w > 0) & (w < np.inf), "edge weight must be finite and > 0, got {w}"),
+))
+_FLOW_CSV = _Format(",", (3,), "j,l,count", (
+    (lambda u, v, w: (w >= 0) & (w < np.inf), "count must be finite and >= 0, got {w}"),
+))
+_FIELDS = [("u", "i8"), ("v", "i8"), ("w", "f8")]
 _INT64 = np.iinfo(np.int64)
 
 
@@ -86,38 +108,34 @@ def load_edge_list(path, directed: bool = False) -> Graph:
     The weight defaults to 1.0. Directed files read `u v` as an arc u -> v.
     Parallel edges merge by weight sum; self-loops and nonpositive or
     non-finite weights are rejected with the line number.
-
-    A file whose data lines all have two fields, or all three, is parsed in
-    one numpy pass. Anything else, and any file that breaks a rule, goes
-    through the line parser, which names the offending line.
     """
-    edges = _bulk_edges(path)
-    if edges is None:
-        edges = _line_edges(path)
-    us, vs, ws = edges
-    n = int(max(us.max(), vs.max())) + 1 if us.size else 0
+    n, us, vs, ws = _read_rows(path, _EDGE_LIST)
     return Graph.from_arrays(n, us, vs, ws, directed=directed)
 
 
-def _bulk_edges(path):
-    """(u, v, w) arrays of a well-formed file, or None where the line parser must decide.
+def _read_rows(path, fmt: _Format):
+    """(n, u, v, w) of a file in `fmt`: n is one past the largest id, w is 1.0 in 2-field rows."""
+    us, vs, ws = _bulk_rows(path, fmt) or _line_rows(path, fmt)
+    return (int(max(us.max(), vs.max())) + 1 if us.size else 0), us, vs, ws
 
-    numpy reads from an open handle rather than the path, because it would
-    open a `.gz` path as gzip and fetch a URL, which the line parser never
-    does. It accepts fewer spellings than `int` (no `1_0`, no non-ASCII
-    digits, nothing outside int64), and ids too large for a Graph; those files
-    fall back to the line parser. A file that is not UTF-8 is refused here.
-    numpy releases that still parse an integer field via a float (`1.5` as 1)
-    only warn about it; that warning is raised as an error, which numpy turns
-    into a ValueError, so a float-spelled id falls back too.
+
+def _bulk_rows(path, fmt: _Format):
+    """(u, v, w) arrays of a file whose data lines share one field count of `fmt` and
+    whose rows all keep the id range and `fmt`'s rules; else None, for the line parser.
+
+    numpy reads an open handle, not the path, which it would open as gzip (`.gz`) or
+    fetch (a URL). It accepts fewer spellings than `int` (no `1_0`, no non-ASCII digits,
+    nothing outside int64); such files, and ids too large for a Graph, fall back. A file
+    that is not UTF-8 is refused here. numpy releases that parse an integer via a float
+    (`1.5` as 1) only warn; that warning is raised as an error, so those files fall back.
     """
     with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        for fields in (_EDGE_FIELDS, _EDGE_FIELDS[:2]):
+        for width in fmt.widths:
             handle.seek(0)
             try:
-                rows = np.loadtxt(handle, dtype=fields, comments="#", ndmin=1)
+                rows = np.loadtxt(handle, _FIELDS[:width], delimiter=fmt.delimiter, ndmin=1)
                 break
             except UnicodeDecodeError:
                 raise _not_utf8(path) from None
@@ -125,33 +143,32 @@ def _bulk_edges(path):
                 continue
         else:
             return None
-    us, vs = rows["u"], rows["v"]
-    ws = rows["w"] if len(rows.dtype.names) == 3 else np.ones(rows.size)
+    us, vs, ws = rows["u"], rows["v"], (rows["w"] if width == 3 else np.ones(rows.size))
     valid = (us >= 0) & (vs >= 0) & (us < MAX_VERTICES) & (vs < MAX_VERTICES)
-    valid &= (us != vs) & (ws > 0) & (ws < np.inf)
+    for holds, _ in fmt.rules:
+        valid &= holds(us, vs, ws)
     return (us, vs, ws) if valid.all() else None
 
 
-def _line_edges(path):
+def _line_rows(path, fmt: _Format):
     """The reference parser: one line at a time, raising a ParseError that names the line."""
-    edges = []
+    rows = []
     for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
+        parts = [part.strip() for part in line.split(fmt.delimiter)]
+        if len(parts) not in fmt.widths:
+            raise ParseError(f"{path}:{lineno}: expected '{fmt.usage}', got {line!r}")
         try:
-            u = _int64(parts[0])
-            v = _int64(parts[1])
+            u, v = _int64(parts[0]), _int64(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         _check_ids(path, lineno, u, v)
-        if u == v:
-            raise ParseError(f"{path}:{lineno}: self-loop at vertex {u}")
-        if not 0 < w < math.inf:
-            raise ParseError(f"{path}:{lineno}: edge weight must be finite and > 0, got {w}")
-        edges.append((u, v, w))
-    return tuple(map(np.asarray, _edge_columns(edges)))
+        for holds, message in fmt.rules:
+            if not holds(u, v, w):
+                raise ParseError(f"{path}:{lineno}: " + message.format(u=u, w=w))
+        rows.append((u, v, w))
+    rows = np.array(rows, dtype=_FIELDS)
+    return rows["u"], rows["v"], rows["w"]
 
 
 def write_edge_list(g: Graph, path):
@@ -173,28 +190,9 @@ def load_flow_matrix(path) -> Graph:
     non-finite counts are rejected with the line number, and a pair whose two
     flows total past the float range is rejected naming the pair.
     """
-    rows, cols, counts = [], [], []
-    for lineno, line in _data_lines(path):
-        parts = [part.strip() for part in line.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'j,l,count', got {line!r}")
-        try:
-            j = _int64(parts[0])
-            l = _int64(parts[1])
-            c = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        _check_ids(path, lineno, j, l)
-        if not 0 <= c < math.inf:
-            raise ParseError(f"{path}:{lineno}: count must be finite and >= 0, got {c}")
-        rows.append(j)
-        cols.append(l)
-        counts.append(c)
-
+    n, js, ls, counts = _read_rows(path, _FLOW_CSV)
     # M_jl per ordered pair, summed in file order, read against its reverse M_lj
-    n = 1 + max(rows + cols, default=-1)
-    keys = np.array(rows, dtype=np.int64) * n + np.array(cols, dtype=np.int64)
-    pairs, at = np.unique(keys, return_inverse=True)
+    pairs, at = np.unique(js * n + ls, return_inverse=True)
     fwd = np.bincount(at, weights=counts, minlength=pairs.size)
     back, held = sorted_lookup(pairs, pairs % n * n + pairs // n)
     bwd = np.where(held, fwd[np.minimum(back, pairs.size - 1)], 0.0)
@@ -250,9 +248,11 @@ def load_names(path) -> dict:
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'vertex name', got {line!r}")
         try:
-            names[int(parts[0])] = parts[1]
+            v = _int64(parts[0])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        _check_ids(path, lineno, v)
+        names[v] = parts[1]
     return names
 
 

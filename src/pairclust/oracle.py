@@ -251,7 +251,9 @@ def ls_curve(p: dict, g: Graph, cover: bool = True) -> LsCurve:
     if cover:
         items = [(key, val, cover_degree(g, key)) for key, val in p.items() if val != 0.0]
     else:
-        items = [(key, val, float(g.degrees[key])) for key, val in p.items() if val != 0.0]
+        items = [
+            (key, val, float(g.degrees[as_id(key, g.n)])) for key, val in p.items() if val != 0.0
+        ]
     for key, val, deg in items:
         if val < 0:
             raise ValueError("mass vector must be nonnegative")

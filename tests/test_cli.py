@@ -405,6 +405,16 @@ class TestOracle:
         mass = sum(row["k_hat"] for row in data["successors"])
         assert mass == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cover_set, item", [("0", "0"), ("0:1,1", "1"), ("0:x", "0:x")])
+    def test_kernel_set_item_without_base_and_side_is_three(self, tmp_path, capsys, cover_set, item):
+        # used to print "invalid literal for int() with base 10: ''"
+        path = small_digraph(tmp_path)
+        argv = ["oracle", "kernel", "-g", str(path), "--directed", "--set", cover_set]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: --set expects base:side,... got {item!r}" in err
+
     def test_ls_curve_check(self, tmp_path, capsys):
         path = bipartite_island(tmp_path)
         code = main(

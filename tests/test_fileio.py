@@ -76,18 +76,22 @@ class TestBulkParse:
             "# header\n0 1 2.5  # inline\n\n1\t2\t0.5\r\n+3 0 1e-3\n",
             "",
             "# comments only\n\n",
+            # flow matrices, told apart by their commas
+            "0,1,3\n1,0,1\n",
+            "# j,l,count\n0, 1 ,2.5  # inline\n\n1,\t2,0\r\n+3,-0,1e-3\n2,2,7\n0,1,1\n",
         ],
     )
     def test_well_formed_files_skip_the_line_parser(self, tmp_path, monkeypatch, text):
         f = tmp_path / "g.edgelist"
         f.write_text(text)
-        expected = load_edge_list(f)
+        load = load_flow_matrix if "," in text else load_edge_list
+        expected = load(f)
 
         def refuse(path):
             raise AssertionError("the line parser was entered")
 
         monkeypatch.setattr(fileio, "_data_lines", refuse)
-        g = load_edge_list(f)
+        g = load(f)
         assert g.n == expected.n
         assert np.array_equal(g.indptr, expected.indptr)
         assert np.array_equal(g.indices, expected.indices)
@@ -110,14 +114,19 @@ class TestBulkParse:
     # Outside pytest, Python ignores DeprecationWarning, so a numpy that parses
     # an integer via a float would only warn and truncate the id.
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    @pytest.mark.parametrize("text", ["0 1.5\n", "1.0 2\n", "0 1e18\n", "0 1 1\n1e3 2 1\n"])
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1.5\n", "1.0 2\n", "0 1e18\n", "0 1 1\n1e3 2 1\n"]
+        + ["0,1.5,1\n", "1.0,2,1\n", "0,1e18,1\n", "0,1,1\n1e3,2,1\n"],  # flow matrices
+    )
     def test_float_spelled_ids_are_named_by_the_line_parser(self, tmp_path, text):
         f = tmp_path / "g.edgelist"
         f.write_text(text)
-        assert fileio._bulk_edges(f) is None
+        flow = "," in text
+        assert fileio._bulk_rows(f, fileio._FLOW_CSV if flow else fileio._EDGE_LIST) is None
         line = text.count("\n")
         with pytest.raises(ParseError, match=f"g.edgelist:{line}: invalid literal for int"):
-            load_edge_list(f)
+            (load_flow_matrix if flow else load_edge_list)(f)
 
     def test_gzip_suffix_is_read_as_text(self, tmp_path):
         # numpy opens a `.gz` path as gzip; the loader must read it as text
@@ -163,7 +172,7 @@ class TestVertexCountLimit:
     def test_edge_list_id(self, tmp_path, line):
         f = tmp_path / "g.edgelist"
         f.write_text(f"0 1\n{line}\n")
-        assert fileio._bulk_edges(f) is None
+        assert fileio._bulk_rows(f, fileio._EDGE_LIST) is None
         with pytest.raises(ParseError, match=r":2: vertex id \d+ too large"):
             load_edge_list(f)
 
@@ -187,9 +196,9 @@ class TestNotUtf8:
         f.write_bytes(data)
         lineno = data.count(b"\n")
         with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
-            fileio._bulk_edges(f)
+            fileio._bulk_rows(f, fileio._EDGE_LIST)
         with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
-            fileio._line_edges(f)
+            fileio._line_rows(f, fileio._EDGE_LIST)
         with pytest.raises(ParseError, match=re.escape(f"{f}:{lineno}: not valid UTF-8")):
             load_edge_list(f)
 
@@ -209,9 +218,13 @@ class TestNotUtf8:
 
     def test_error_past_the_first_read_chunk_names_its_line(self, tmp_path):
         f = tmp_path / "g.edgelist"
-        f.write_bytes(b"0 1\n" * 5000 + b"1 \x80\n")
-        with pytest.raises(ParseError, match=re.escape(f"{f}:5001: not valid UTF-8")):
-            load_edge_list(f)
+        for load, row, bad in [
+            (load_edge_list, b"0 1\n", b"1 \x80\n"),
+            (load_flow_matrix, b"0,1,3\n", b"1,\x80,2\n"),
+        ]:
+            f.write_bytes(row * 5000 + bad)
+            with pytest.raises(ParseError, match=re.escape(f"{f}:5001: not valid UTF-8")):
+                load(f)
 
 class TestWriteEdgeList:
     @pytest.mark.parametrize("directed", [False, True])
@@ -323,6 +336,28 @@ class TestSidecars:
         f.write_text("0 Alpha Prime\n1 Beta\n")
         names = load_names(f)
         assert names == {0: "Alpha Prime", 1: "Beta"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("-1 West", ":2: negative vertex id"),
+            (f"{10**23} West", f":2: {10**23} does not fit in int64"),
+            (f"{2**63 - 1} West", f":2: vertex id {2**63 - 1} too large"),
+            ("one West", ":2: invalid literal for int"),
+        ],
+    )
+    def test_names_ids_follow_the_parse_rule(self, tmp_path, line, message):
+        # -1 and 10**23 used to load as ids
+        f = tmp_path / "g.names"
+        f.write_text(f"0 North\n{line}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{f}{message}")):
+            load_names(f)
+
+    def test_names_ids_spelled_as_int_reads_them(self, tmp_path):
+        # the spellings Python's int reads, as in edge lists and label files
+        f = tmp_path / "g.names"
+        f.write_text("+0 North\n1_0 Ten\n\u0663 Three\n007 Seven\n")
+        assert load_names(f) == {0: "North", 10: "Ten", 3: "Three", 7: "Seven"}
 
 
 class TestFingerprint:

@@ -181,6 +181,15 @@ class TestLsCurve:
             vol = sum(cover_degree(g, key) for key in keys)
             assert mass <= curve(vol) + 1e-12
 
+    @pytest.mark.parametrize(
+        "key, message", [(-1, "vertex id -1 out of range"), (1.5, "vertex id 1.5 is not an integer")]
+    )
+    def test_base_graph_keys_follow_the_id_rule(self, key, message):
+        # -1 used to wrap to vertex 3 (xs [0, 2, 8]); 1.5 ended in numpy's IndexError
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError, match=message):
+            ls_curve({key: 0.5}, g, cover=False)
+
     def test_out_of_range_query(self):
         rng = np.random.default_rng(10)
         g, _, curve = self._curve_for(rng)

@@ -1,8 +1,9 @@
 """Property tests on random small weighted graphs: round push, sweep cut, cover scan,
 the pair volume rule, the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
-parse, the flow-matrix loader and the CLI's exit codes on arbitrary graph files."""
+parse, the flow-matrix loader and its bulk parse, and the CLI's exit codes on arbitrary graph files."""
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -471,23 +472,67 @@ def edge_files(draw):
     return text.encode("utf-8")
 
 
-def _load_or_error(path, directed):
+# Flow rows draw few ids, so that self flows, repeated and balanced pairs are common
+_FLOW_IDS = st.integers(0, 4).map(str)
+_PLAIN_COUNTS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.floats(0.0, 1e3).map(repr),
+    st.sampled_from(["+2", ".5", "5.", "-0", "1e-400"]),
+)
+_ODD_COUNTS = st.one_of(_ODD_WEIGHTS, st.sampled_from(["1e308", "9e307"]))
+_COMMAS = st.sampled_from([",", " ,", ", ", " , ", "\t,", ",\t", ",\x0b", "\x85,", ",\u2028"])
+
+
+def _flow_line(draw, tokens):
+    line = tokens[0] + draw(_COMMAS) + tokens[1] + draw(_COMMAS) + tokens[2]
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(["", " ", "\t"])) + line
+    if draw(st.booleans()):
+        line += draw(st.sampled_from([" # inline", "#", "  # 9,9,9"]))
+    return line
+
+
+@st.composite
+def flow_files(draw):
+    """The bytes of a flow CSV: `j,l,count` rows with spaces around the commas, self flows
+    and repeated rows, between comments and blank lines. Up to two rows may get an odd
+    id or count (spellings numpy refuses, ids outside int64, nan, inf, -0, counts whose
+    pair total passes the float range) or become a line that is no row."""
+    rows = draw(st.lists(st.tuples(_FLOW_IDS, _FLOW_IDS, _PLAIN_COUNTS), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        field = draw(st.integers(0, 3))
+        if field == 3:
+            row[:] = draw(st.sampled_from([["nope", "", ""], ["0", "1", "2,3"], ["0", "1 2", "3"]]))
+        else:
+            row[field] = draw(_ODD_COUNTS if field == 2 else _ODD_IDS)
+    lines = [_flow_line(draw, row) for row in rows]
+    fillers = st.sampled_from(["# j,l,count", "#", "", "  ", "\t", "  # 0,1,2"])
+    for filler in draw(st.lists(fillers, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text.encode("utf-8")
+
+
+def _load_or_error(load, path):
     try:
-        return load_edge_list(path, directed=directed)
+        return load(path)
     except ParseError as exc:
         return str(exc)
 
 
-@settings(SETTINGS, max_examples=300)
-@given(data=edge_files(), directed=st.booleans())
-def test_bulk_parse_agrees_with_line_parser(data, directed):
+def _assert_bulk_parse_agrees_with_line_parser(data, name, load, fmt):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.edgelist"
+        path = Path(tmp) / name
         path.write_bytes(data)
-        bulk = fileio._bulk_edges(path)
-        got = _load_or_error(path, directed)
-        with mock.patch.object(fileio, "_bulk_edges", return_value=None):
-            want = _load_or_error(path, directed)
+        bulk = fileio._bulk_rows(path, fmt)
+        got = _load_or_error(load, path)
+        with mock.patch.object(fileio, "_bulk_rows", return_value=None):
+            want = _load_or_error(load, path)
     if isinstance(want, str):
         # what the line parser refuses, the bulk parse never accepts
         assert bulk is None
@@ -498,6 +543,21 @@ def test_bulk_parse_agrees_with_line_parser(data, directed):
     for name in ("indptr", "indices", "weights", "row_indptr", "row_indices", "row_weights"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert graph_fingerprint(got) == graph_fingerprint(want)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=edge_files(), directed=st.booleans())
+def test_bulk_parse_agrees_with_line_parser(data, directed):
+    load = functools.partial(load_edge_list, directed=directed)
+    _assert_bulk_parse_agrees_with_line_parser(data, "g.edgelist", load, fileio._EDGE_LIST)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=flow_files())
+def test_flow_bulk_parse_agrees_with_line_parser(data):
+    _assert_bulk_parse_agrees_with_line_parser(
+        data, "flows.csv", load_flow_matrix, fileio._FLOW_CSV
+    )
 
 
 @settings(SETTINGS, max_examples=150)
