@@ -174,7 +174,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_cover_set(text: str) -> set:
+def _parse_cover_set(text: str, n: int) -> set:
     keys = set()
     for item in text.split(","):
         base, _, side = item.partition(":")
@@ -182,7 +182,10 @@ def _parse_cover_set(text: str) -> set:
             base, side = int(base), int(side)
         except ValueError:
             raise ValueError(f"--set expects base:side,... got {item!r}") from None
-        keys.add(cover_vertex(base, side))
+        try:
+            keys.add(cover_vertex(as_id(base, n), side))
+        except ValueError as exc:
+            raise ValueError(f"--set item {item!r}: {exc}") from None
     return keys
 
 
@@ -203,7 +206,7 @@ def _cmd_oracle(args) -> int:
             ]
         print(json.dumps({"alpha": args.alpha, "entries": entries}, indent=2))
     elif args.check == "kernel":
-        start = _parse_cover_set(args.set)
+        start = _parse_cover_set(args.set, g.n)
         k, k_hat = exact_esp_kernel(g, start)
         rows = []
         for succ in sorted(k_hat, key=lambda s: -k_hat[s]):

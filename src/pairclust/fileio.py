@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, sorted_lookup
+from .graph import MAX_VERTICES, Graph, sum_by_key
 
 __all__ = [
     "ParseError",
@@ -124,18 +124,21 @@ def _bulk_rows(path, fmt: _Format):
     whose rows all keep the id range and `fmt`'s rules; else None, for the line parser.
 
     numpy reads an open handle, not the path, which it would open as gzip (`.gz`) or
-    fetch (a URL). It accepts fewer spellings than `int` (no `1_0`, no non-ASCII digits,
-    nothing outside int64); such files, and ids too large for a Graph, fall back. A file
-    that is not UTF-8 is refused here. numpy releases that parse an integer via a float
-    (`1.5` as 1) only warn; that warning is raised as an error, so those files fall back.
+    fetch (a URL). A delimited format's lines are stripped first: numpy would read a
+    whitespace-only line as one empty field, which the line parser skips. It accepts
+    fewer spellings than `int` (no `1_0`, no non-ASCII digits, nothing outside int64);
+    such files, and ids too large for a Graph, fall back. A file that is not UTF-8 is
+    refused here. numpy releases that parse an integer via a float (`1.5` as 1) only
+    warn; that warning is raised as an error, so those files fall back.
     """
     with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         for width in fmt.widths:
             handle.seek(0)
+            lines = handle if fmt.delimiter is None else map(str.strip, handle)
             try:
-                rows = np.loadtxt(handle, _FIELDS[:width], delimiter=fmt.delimiter, ndmin=1)
+                rows = np.loadtxt(lines, _FIELDS[:width], delimiter=fmt.delimiter, ndmin=1)
                 break
             except UnicodeDecodeError:
                 raise _not_utf8(path) from None
@@ -184,28 +187,28 @@ def write_edge_list(g: Graph, path):
 def load_flow_matrix(path) -> Graph:
     """Build a digraph from a CSV of pairwise flow counts `j,l,count`.
 
-    Each unordered pair with asymmetric flow becomes one arc from the larger
-    flow's origin, weighted by |M_jl - M_lj| / (M_jl + M_lj); balanced or
-    absent flows produce no edge. Duplicate rows accumulate. Negative or
-    non-finite counts are rejected with the line number, and a pair whose two
-    flows total past the float range is rejected naming the pair.
+    Each unordered pair with asymmetric flow becomes one arc from the larger flow's
+    origin, weighted by |M_jl - M_lj| / (M_jl + M_lj); balanced or absent flows
+    produce no edge. Duplicate rows accumulate in file order, both flows of a pair
+    in one `sum_by_key` pass. Negative or non-finite counts are rejected with the
+    line number, and a pair whose two flows total past the float range is rejected
+    naming the pair.
     """
     n, js, ls, counts = _read_rows(path, _FLOW_CSV)
-    # M_jl per ordered pair, summed in file order, read against its reverse M_lj
-    pairs, at = np.unique(js * n + ls, return_inverse=True)
-    fwd = np.bincount(at, weights=counts, minlength=pairs.size)
-    back, held = sorted_lookup(pairs, pairs % n * n + pairs // n)
-    bwd = np.where(held, fwd[np.minimum(back, pairs.size - 1)], 0.0)
+    # M_lo,hi and M_hi,lo per pair lo < hi in file order; other rows and self rows add 0
+    keys = np.minimum(js, ls) * n + np.maximum(js, ls)
+    pairs, fwd, bwd = sum_by_key(keys, (js < ls) * counts, (js > ls) * counts)
     # A total M_jl + M_lj past the float range would weigh the arc 0 or nan. Halves
     # sum without overflow, and pass max/2 exactly when the whole total rounds to inf.
-    over = (0.5 * fwd + 0.5 * bwd > np.finfo(np.float64).max / 2) & (pairs // n != pairs % n)
-    if over.any():
-        j, l = divmod(int(pairs[over][0]), n)
+    over = 0.5 * fwd + 0.5 * bwd > np.finfo(np.float64).max / 2
+    if over.any():  # named by its smallest ordered pair j,l that has a row
+        j, l = divmod(int((js * n + ls)[np.isin(keys, pairs[over])].min()), n)
         raise ParseError(f"{path}: the flows {j},{l} and {l},{j} total past the float range")
-    arc = fwd > bwd  # so an arc's total is positive: no 0/0, and its weight is > 0
-    pairs, fwd, bwd = pairs[arc], fwd[arc], bwd[arc]
-    w = (fwd - bwd) / (fwd + bwd)
-    return Graph.from_arrays(n, pairs // n, pairs % n, w, directed=True)
+    arc = fwd != bwd  # so an arc's total is positive: no 0/0, and its weight is > 0
+    (lo, hi), fwd, bwd = np.divmod(pairs[arc], n), fwd[arc], bwd[arc]
+    back = bwd > fwd  # the arc runs from the larger flow's origin
+    w = np.abs(fwd - bwd) / (fwd + bwd)
+    return Graph.from_arrays(n, np.where(back, hi, lo), np.where(back, lo, hi), w, directed=True)
 
 
 def load_labels(path) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Sparse weighted graph storage with degree, volume, cut, and cluster-quality queries.
 
 A pair (L, R) is measured as the cover set L1 u R2: `Graph._pair_volume` is the one
-volume rule, and beta and F are both 1 - 2 e(L->R) over that volume.
+volume rule, and beta and F are both 1 - 2 e(L->R) over that volume. `sum_by_key` is the
+one sum per key: of parallel edges, of push shares (`pagerank`) and of flows (`fileio`).
 """
 
 from __future__ import annotations
@@ -99,24 +100,23 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray):
     return np.arange(offsets.size) + offsets, counts
 
 
-def sorted_lookup(haystack: np.ndarray, needles: np.ndarray):
-    """Insertion positions of `needles` in the sorted `haystack`, and which of them it holds."""
-    at = np.searchsorted(haystack, needles)
-    if not haystack.size:
-        return at, np.zeros(at.shape, dtype=bool)
-    return at, haystack[np.minimum(at, haystack.size - 1)] == needles
+def sum_by_key(keys: np.ndarray, *weights: np.ndarray):
+    """The one sum-by-key rule: the sorted distinct `keys`, then per array in `weights`
+    each key's sum of its entries, added in input order (`np.bincount` on the inverse)."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return (uniq, *(np.bincount(inverse, weights=w, minlength=uniq.size) for w in weights))
 
 
 def sorted_merge(needles: np.ndarray, keys: np.ndarray, *aligned: np.ndarray):
-    """Insert the sorted unique `needles` missing from sorted `keys`; arrays in `aligned` get 0s.
+    """Insert the sorted unique `needles` missing from nonempty sorted `keys`; `aligned` gets 0s.
 
     Returns (keys, *aligned) merged, each needle's position in them, and the
     inserted keys' positions, through which every array is filled at once.
     """
-    at, held = sorted_lookup(keys, needles)
-    if held.all():
+    at = np.searchsorted(keys, needles)
+    new = keys.take(at, mode="clip") != needles
+    if not new.any():
         return (keys, *aligned), at, at[:0]
-    new = ~held
     at += np.cumsum(new) - new
     added = at[new]
     kept = np.ones(keys.size + added.size, dtype=bool)
@@ -151,14 +151,6 @@ def key_positions(g: "Graph", keys: np.ndarray, needles: np.ndarray) -> np.ndarr
         return index[needles] - 1
     finally:
         give_back_key_index(g, index, keys)
-
-
-def _merge_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """Sum weights of parallel edges. Keys are u*n+v, so (u, v) must be canonical."""
-    keys = u * np.int64(n) + v
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    wsum = np.bincount(inverse, weights=w, minlength=uniq.size)
-    return uniq // n, uniq % n, wsum
 
 
 class Graph:
@@ -247,8 +239,9 @@ class Graph:
         self.directed = bool(directed)
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
-        su, sv, sw = _merge_edges(n, u, v, w)
-        del u, v, w
+        keys, sw = sum_by_key(u * np.int64(n) + v, w)
+        su, sv = np.divmod(keys, n)
+        del u, v, w, keys
         m = self.edge_count = int(su.size)
         side2 = n if directed else 0
         nrows = n + side2

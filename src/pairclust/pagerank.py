@@ -24,7 +24,7 @@ from .cover import (
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_merge
+from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_merge, sum_by_key
 
 __all__ = [
     "AprState",
@@ -121,12 +121,12 @@ class AprState:
 
         nbr_keys, shares, owner = cover_rows(g, self.keys[frontier])
         shares *= ((1.0 - alpha) * ru / (2.0 * du))[owner]
-        uniq, inverse = np.unique(nbr_keys, return_inverse=True)
+        uniq, sums = sum_by_key(nbr_keys, shares)
         (self.keys, self.p_mass, self.r_mass, self.deg), at, added = sorted_merge(
             uniq, self.keys, self.p_mass, self.r_mass, self.deg
         )
         self.deg[added] = cover_degrees(g, self.keys[added])
-        self.r_mass[at] += np.bincount(inverse, weights=shares, minlength=uniq.size)
+        self.r_mass[at] += sums
 
 
 def approximate_pagerank_dc(g: Graph, v: int, alpha: float, epsilon: float):

@@ -127,3 +127,37 @@ def clone_state(state: EspState) -> EspState:
         return EspState(g, set(state.members), state.walker, dict(mass), state.vol)
     arrays = type(mass)(g, mass.ids.copy(), mass.mass.copy(), mass.inside.copy(), mass.deg.copy())
     return EspState(g, None, state.walker, arrays, state.vol)
+
+
+def flow_rows_reference(rows):
+    """The `row_indptr`, `row_indices`, `row_weights` and `row_degrees` of the flow digraph of
+    (j, l, count) rows, in plain Python: per unordered pair lo < hi, M_lo,hi and M_hi,lo summed
+    from 0.0 in file order; when they differ, one arc from the larger flow's origin weighted
+    |fwd - bwd| / (fwd + bwd), stored in its tail's out-row and its head's in-row."""
+    n = 1 + max((max(j, l) for j, l, _ in rows), default=-1)
+    flows = {}
+    for j, l, count in rows:
+        if j != l:
+            flows.setdefault((min(j, l), max(j, l)), [0.0, 0.0])[int(j > l)] += count
+    out = [[] for _ in range(2 * n)]
+    for (lo, hi), (fwd, bwd) in flows.items():
+        if fwd != bwd:
+            u, v = (lo, hi) if fwd > bwd else (hi, lo)
+            w = abs(fwd - bwd) / (fwd + bwd)
+            out[u].append((v, w))
+            out[n + v].append((u, w))
+    indptr, indices, weights, degrees = [0], [], [], []
+    for row in map(sorted, out):
+        degree = 0.0
+        for col, w in row:
+            indices.append(col)
+            weights.append(w)
+            degree += w
+        indptr.append(len(indices))
+        degrees.append(degree)
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+        np.array(degrees, dtype=np.float64),
+    )

@@ -415,6 +415,23 @@ class TestOracle:
         assert out == ""
         assert f"error: --set expects base:side,... got {item!r}" in err
 
+    @pytest.mark.parametrize(
+        "cover_set, item, reason",
+        [
+            ("99:1", "99:1", "vertex id 99 out of range [0, 4)"),
+            ("0:1,-1:2", "-1:2", "vertex id -1 out of range [0, 4)"),
+            ("1:3", "1:3", "side must be 1 or 2"),
+        ],
+    )
+    def test_kernel_set_item_it_cannot_use_is_named(self, tmp_path, capsys, cover_set, item, reason):
+        # a base past the graph used to be named by its cover key: "cover vertex 198 out of range"
+        path = small_digraph(tmp_path)
+        argv = ["oracle", "kernel", "-g", str(path), "--directed", "--set", cover_set]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --set item {item!r}: {reason}\n"
+
     def test_ls_curve_check(self, tmp_path, capsys):
         path = bipartite_island(tmp_path)
         code = main(

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ class TestBulkParse:
         line = text.count("\n")
         with pytest.raises(ParseError, match=f"g.edgelist:{line}: invalid literal for int"):
             (load_flow_matrix if flow else load_edge_list)(f)
+
+    def test_flow_blank_and_indented_comment_lines_keep_the_bulk_path(self, tmp_path, monkeypatch):
+        # with a delimiter, numpy reads an unstripped "  " line as one empty field
+        text = "0,1,3\n1,0,1\n2,1,4\n"
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text(text)
+        padded.write_text("  \n" + text + "  # c\n\t\n")
+        expected = load_flow_matrix(plain)
+        line_rows = mock.Mock(wraps=fileio._line_rows)
+        monkeypatch.setattr(fileio, "_line_rows", line_rows)
+        g = load_flow_matrix(padded)
+        line_rows.assert_not_called()
+        for name in ("row_indptr", "row_indices", "row_weights", "row_degrees"):
+            assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+        assert graph_fingerprint(g) == graph_fingerprint(expected)
 
     def test_gzip_suffix_is_read_as_text(self, tmp_path):
         # numpy opens a `.gz` path as gzip; the loader must read it as text
@@ -287,18 +303,27 @@ class TestLoadFlowMatrix:
             load_flow_matrix(f)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, flows",
         [
-            "0,1,1e308\n0,1,1e308\n1,0,1e308\n",  # M_01 overflows: the arc read weight nan
-            "0,1,1e308\n1,0,9e307\n",  # each finite, the total not: the arc read weight 0
+            # M_01 overflows: the arc read weight nan; explicit ids keep these two test names
+            pytest.param(
+                "0,1,1e308\n0,1,1e308\n1,0,1e308\n", "0,1 and 1,0",
+                id="0,1,1e308\n0,1,1e308\n1,0,1e308\n",
+            ),
+            # each finite, the total not: the arc read weight 0
+            pytest.param("0,1,1e308\n1,0,9e307\n", "0,1 and 1,0", id="0,1,1e308\n1,0,9e307\n"),
+            # named by the smallest ordered pair that has a row, also one of count 0
+            ("1,0,1e308\n1,0,1e308\n", "1,0 and 0,1"),
+            ("1,0,1e308\n0,1,0\n1,0,1e308\n", "0,1 and 1,0"),
+            ("4,0,1e308\n4,0,1e308\n2,3,1e308\n3,2,1e308\n", "2,3 and 3,2"),
         ],
     )
-    def test_pair_total_past_the_float_range_names_the_pair(self, tmp_path, text):
+    def test_pair_total_past_the_float_range_names_the_pair(self, tmp_path, text, flows):
         f = tmp_path / "m.csv"
         f.write_text(text)
         with pytest.raises(ParseError) as info:
             load_flow_matrix(f)
-        assert str(info.value) == f"{f}: the flows 0,1 and 1,0 total past the float range"
+        assert str(info.value) == f"{f}: the flows {flows} total past the float range"
 
     def test_large_totals_inside_the_float_range_load(self, tmp_path):
         f = tmp_path / "m.csv"

@@ -1,6 +1,6 @@
 """Property tests on random small weighted graphs: round push, sweep cut, cover scan,
 the pair volume rule, the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
-parse, the flow-matrix loader and its bulk parse, and the CLI's exit codes on arbitrary graph files."""
+parse, the sum-by-key rule, the flow-matrix loader and its bulk parse, and the CLI's exit codes on arbitrary graph files."""
 
 import contextlib
 import functools
@@ -43,7 +43,8 @@ from pairclust.cover import (
     total_cover_volume,
 )
 from pairclust.oracle import dense_cover_adjacency, pair_to_cover_set
-from helpers import clone_state, dense_cover_cut_and_volume, esp_state_from_set
+from pairclust.graph import sum_by_key
+from helpers import clone_state, dense_cover_cut_and_volume, esp_state_from_set, flow_rows_reference
 
 SETTINGS = settings(
     max_examples=60,
@@ -394,6 +395,51 @@ def test_flow_matrix_matches_dense_reference(rows, balanced, data):
     assert g.edge_count == int(np.count_nonzero(want))
 
 
+@SETTINGS
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _COUNTS), max_size=30),
+    data=st.data(),
+)
+def test_flow_matrix_rows_match_the_pair_sum_reference(rows, data):
+    # duplicate rows, zero counts, self rows and one-sided pairs, in any file order
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=5))
+    rows = data.draw(st.permutations(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        path.write_text("".join(f"{j},{l},{c!r}\n" for j, l, c in rows))
+        g = load_flow_matrix(path)
+    want = flow_rows_reference(rows)
+    got = (g.row_indptr, g.row_indices, g.row_weights, g.row_degrees)
+    for have, expected in zip(got, want):
+        assert have.tobytes() == expected.tobytes()
+
+
+_KEYS = st.lists(st.integers(-3, 6), max_size=40)
+_WEIGHTS = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@SETTINGS
+@given(keys=_KEYS, count=st.integers(0, 3), data=st.data())
+def test_sum_by_key_is_unique_then_bincount_in_input_order(keys, count, data):
+    size = len(keys)
+    weights = [
+        np.array(data.draw(st.lists(_WEIGHTS, min_size=size, max_size=size)), dtype=float)
+        for _ in range(count)
+    ]
+    keys = np.array(keys, dtype=np.int64)
+    uniq, *sums = sum_by_key(keys, *weights)
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert uniq.tobytes() == want.tobytes() and len(sums) == count
+    for total, w in zip(sums, weights):
+        expected = np.bincount(inverse, weights=w, minlength=want.size)
+        assert total.dtype == expected.dtype and total.tobytes() == expected.tobytes()
+        by_key = dict.fromkeys(uniq.tolist(), 0.0)
+        for key, x in zip(keys.tolist(), w.tolist()):
+            by_key[key] += x
+        assert total.tolist() == list(by_key.values())
+
+
 # Ids stay small, or are too large for a Graph (its edge keys u*n + v would
 # overflow int64), or leave int64 altogether. An id in between makes n = id + 1
 # and the graph allocates O(n), which no test should do for a large id.
@@ -530,12 +576,15 @@ def _assert_bulk_parse_agrees_with_line_parser(data, name, load, fmt):
         path = Path(tmp) / name
         path.write_bytes(data)
         bulk = fileio._bulk_rows(path, fmt)
+        refused = _load_or_error(functools.partial(fileio._line_rows, fmt=fmt), path)
         got = _load_or_error(load, path)
         with mock.patch.object(fileio, "_bulk_rows", return_value=None):
             want = _load_or_error(load, path)
-    if isinstance(want, str):
+    if isinstance(refused, str):
         # what the line parser refuses, the bulk parse never accepts
         assert bulk is None
+    if isinstance(want, str):
+        # a refused line, or rows the loader refuses after parsing, read the same both ways
         assert got == want
         return
     assert isinstance(got, Graph)
@@ -554,6 +603,7 @@ def test_bulk_parse_agrees_with_line_parser(data, directed):
 
 @settings(SETTINGS, max_examples=300)
 @given(data=flow_files())
+@example(data=b"0,1,1e308\n  \n0,1,1e308\n")  # parsed in bulk, refused as past the float range
 def test_flow_bulk_parse_agrees_with_line_parser(data):
     _assert_bulk_parse_agrees_with_line_parser(
         data, "flows.csv", load_flow_matrix, fileio._FLOW_CSV
