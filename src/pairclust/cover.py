@@ -21,11 +21,11 @@ Read forwards, the lift is written once. Key k reads one row of the graph's
 CSR over cover rows, row ``(k >> 1) + (k & 1) * side2_row`` (see `Graph`):
 a side-1 key reads its base out-row, a side-2 key its base in-row, which is
 the out-row itself when the graph is undirected. The row's columns are the
-neighbors' bases, on the opposite side. `cover_rows` gathers the rows of a
-key array in key order and `cover_degrees` their degrees. Push, the sweep
-and the numpy evolving-set step read the cover through these two;
-`cover_row` is the same read for one key, as Python values, for the
-evolving-set dict loop and walker.
+neighbors' bases, on the opposite side; `row_keys` holds them as cover keys.
+`cover_rows` gathers the rows of a key array in key order and `cover_degrees`
+their degrees; push, the sweep and the numpy evolving-set step read the cover
+through these two. `cover_row` is the same read for one key, as Python values,
+for the evolving-set dict loop and walker.
 """
 
 from __future__ import annotations
@@ -79,26 +79,26 @@ def cover_row(g: Graph, key: int):
     """
     row = cover_key_row(g, key)
     lo, hi = g.row_indptr[row : row + 2].tolist()
-    side = 1 - (key & 1)
-    nbr_keys = [2 * v + side for v in g.row_indices[lo:hi].tolist()]
-    return nbr_keys, g.row_weights[lo:hi].tolist(), float(g.row_degrees[row])
+    nbr_keys = g.row_keys[lo:hi]
+    if key & 1 and not g.directed:  # an undirected row read from side 2
+        nbr_keys = nbr_keys - 1
+    return nbr_keys.tolist(), g.row_weights[lo:hi].tolist(), float(g.row_degrees[row])
 
 
 def cover_rows(g: Graph, keys: np.ndarray):
-    """Cover rows of an int64 array of in-range keys, as (nbr_keys, weights, owner).
+    """Cover rows of an int64 array of in-range keys, as (nbr_keys, weights, counts).
 
     The rows come in the order of `keys`, each sorted by neighbor base, and
-    `owner[i]` is the position in `keys` of the key whose row holds entry i,
-    so `owner` never decreases. Key k reads row `cover_key_row(g, k)`, and
-    its neighbors live on the opposite side: neighbor base v gives key
-    ``2*v + 1 - (k & 1)``.
+    `counts[j]` is the length of the row of `keys[j]`, so `np.repeat(values, counts)`
+    spreads per-key values over the entries. Key k reads row `cover_key_row(g, k)`,
+    and its neighbors are `g.row_keys` there: base v gives key ``2*v + 1 - (k & 1)``,
+    which a side-2 key of an undirected graph gets by subtracting its parity.
     """
     pos, counts = row_positions(g.row_indptr, cover_key_row(g, keys))
-    owner = np.repeat(np.arange(keys.size), counts)
-    nbr_keys = g.row_indices[pos]
-    nbr_keys *= 2
-    nbr_keys += (1 - (keys & 1))[owner]
-    return nbr_keys, g.row_weights[pos], owner
+    nbr_keys = g.row_keys[pos]
+    if not g.directed:  # undirected rows read from side 2
+        nbr_keys -= (keys & 1).repeat(counts)
+    return nbr_keys, g.row_weights[pos], counts
 
 
 def cover_degrees(g: Graph, keys: np.ndarray) -> np.ndarray:

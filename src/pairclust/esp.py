@@ -44,7 +44,7 @@ from .cover import (
     to_cluster_pair,
 )
 from .graph import Graph, as_id, borrow_key_index, flow_ratio, give_back_key_index
-from .graph import key_positions, sorted_unique
+from .graph import key_positions
 
 __all__ = [
     "EspState",
@@ -66,8 +66,8 @@ _MASS_EPS = 1e-12
 # byte size under 1 KiB) does not pin memory for every set size it passes through.
 _VECTOR_MIN_KEYS = 128
 
-# A step count derived from phi fails above this instead of running. At about
-# 0.23 ms a step on the table2 digraph, 10**6 steps already take minutes, and
+# A step count derived from phi fails above this instead of running. At 0.14-0.19
+# ms a step on the table2 digraph (traced), 10**6 steps already take minutes, and
 # phi below 1e-12 asks for more (phi = 1e-30 asks for about 10**18). An explicit
 # step count is not capped.
 _MAX_DERIVED_STEPS = 10**6
@@ -296,35 +296,38 @@ def _add_rows(state: EspState, sign: np.ndarray):
 
     A step that changes no member ends here. Otherwise the changed keys, sorted by key so
     that no sum depends on insertion order, flip their flags and add their
-    signed degrees to the volume. Their cover rows are gathered at once,
-    signed and added by one `bincount` over the key index's positions
-    (untracked neighbors are first deduplicated by sorting, `sorted_unique`, and appended
-    with mass 0). When a key left, the reference's prune follows and renumbers the kept keys.
+    signed degrees to the volume. Their cover rows are gathered at once as cover keys,
+    signed and added by one `bincount` over the key index (slot 0 dropped). An entry the
+    index missed writes a distinct mark there; those whose mark survived are the new keys,
+    appended with mass 0. When a key left, the reference's prune renumbers the kept keys.
     Outside the zero-degree case no array over the tracked keys is bool (a bool array of
     under 1024 keys lands in numpy's small-buffer cache, see `_VECTOR_MIN_KEYS`).
     """
     g, t = state.graph, state.nbr_mass
-    changed = np.flatnonzero(sign)
+    changed = sign.nonzero()[0]
     if not changed.size:
         return
-    changed = changed[np.argsort(t.ids[changed])]
+    changed = changed[t.ids[changed].argsort()]
     signs = sign[changed]
-    t.inside[changed] += signs
+    t.inside += sign  # adds 0 at every unchanged key
     state.vol += float(t.deg[changed] @ signs)
 
     # 4. signed gather of the changed keys' rows, summed per neighbor
-    nbrs, ws, owner = cover_rows(g, t.ids[changed])
-    ws *= signs[owner]
+    nbrs, ws, counts = cover_rows(g, t.ids[changed])
+    ws *= signs.repeat(counts)
     at = t.index[nbrs]
-    new = sorted_unique(nbrs[at == 0])
-    if new.size:  # append them, outside the set with mass 0
-        zeros, size = np.zeros(new.size), t.ids.size
+    missed = (at == 0).nonzero()[0]
+    if missed.size:  # append the new keys, outside the set with mass 0
+        keys, marks = nbrs[missed], np.arange(1, missed.size + 1) + t.ids.size
+        t.index[keys] = marks  # whichever write to a repeated key lands, one mark survives
+        new = keys[t.index[keys] == marks]
+        zeros = np.zeros(new.size)
         t.ids, t.mass, t.inside, t.deg = map(np.concatenate, (
             (t.ids, new), (t.mass, zeros), (t.inside, zeros), (t.deg, cover_degrees(g, new))
         ))
-        t.index[new] = np.arange(size + 1, t.ids.size + 1)
-        at = t.index[nbrs]
-    t.mass += np.bincount(at - 1, weights=ws, minlength=t.ids.size)
+        t.index[new] = marks[: new.size]  # the positions + 1 they took
+        at[missed] = t.index[keys]
+    t.mass += np.bincount(at, weights=ws, minlength=t.ids.size + 1)[1:]
 
     # the reference's prune: drop non-members whose mass is a zero residue
     if signs.min() < 0:

@@ -96,15 +96,15 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray):
     """Positions of the concatenated CSR rows `rows` in indices/weights, and each row's length."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    offsets = (starts - counts.cumsum() + counts).repeat(counts)
     return np.arange(offsets.size) + offsets, counts
 
 
 def sum_by_key(keys: np.ndarray, *weights: np.ndarray):
     """The one sum-by-key rule: the sorted distinct `keys`, then per array in `weights`
-    each key's sum of its entries, added in input order (`np.bincount` on the inverse)."""
+    each key's float64 sum of its entries, added in input order (`np.bincount` on the inverse)."""
     uniq, inverse = np.unique(keys, return_inverse=True)
-    return (uniq, *(np.bincount(inverse, weights=w, minlength=uniq.size) for w in weights))
+    return (uniq, *(np.bincount(inverse, w, uniq.size).astype(float, copy=False) for w in weights))
 
 
 def sorted_merge(needles: np.ndarray, keys: np.ndarray, *aligned: np.ndarray):
@@ -173,7 +173,9 @@ class Graph:
     side 1, so `side2_row` is 0. A digraph has 2n rows: its out-rows, then
     at n + v the in-row of v, so `side2_row` is n. Each row is sorted by
     column. `indptr`, `indices`, `weights` (the out-rows), `degrees` (out-degrees
-    for a digraph) and `in_degrees` are read-only views of that CSR.
+    for a digraph) and `in_degrees` are read-only views of that CSR; `row_keys`
+    (8 bytes an entry) holds each entry's neighbor as a cover key, 2v+1 in an
+    out-row and 2v in an in-row.
     """
 
     __slots__ = (
@@ -184,6 +186,7 @@ class Graph:
         "row_indices",
         "row_weights",
         "row_degrees",
+        "row_keys",
         "side2_row",
         "indptr",
         "indices",
@@ -250,7 +253,7 @@ class Graph:
         cols = np.concatenate([sv, su])
         vals = np.concatenate([sw, sw])
         del su, sv, sw
-        deg = np.bincount(rows, weights=vals, minlength=nrows)
+        deg = np.bincount(rows, weights=vals, minlength=nrows).astype(float, copy=False)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
         # Sort by (row, col), unique after merging, on a key built in place of
@@ -263,12 +266,14 @@ class Graph:
         del key
         cols = cols[order]
         vals = vals[order]
-        for arr in (indptr, cols, vals, deg):
+        out_end = int(indptr[n])
+        nbrs = 2 * cols  # each entry's neighbor as a cover key: 2v+1 in an out-row, 2v in an in-row
+        nbrs[:out_end] += 1
+        for arr in (indptr, cols, vals, deg, nbrs):
             arr.setflags(write=False)
         self.row_indptr, self.row_indices, self.row_weights = indptr, cols, vals
-        self.row_degrees = deg
+        self.row_degrees, self.row_keys = deg, nbrs
         self.side2_row = side2
-        out_end = int(indptr[n])
         self.indptr = indptr[: n + 1]
         self.indices = cols[:out_end]
         self.weights = vals[:out_end]

@@ -119,8 +119,8 @@ class AprState:
         self.p_mass[frontier] += alpha * ru
         self.r_mass[frontier] = (1.0 - alpha) * ru * 0.5
 
-        nbr_keys, shares, owner = cover_rows(g, self.keys[frontier])
-        shares *= ((1.0 - alpha) * ru / (2.0 * du))[owner]
+        nbr_keys, shares, counts = cover_rows(g, self.keys[frontier])
+        shares *= np.repeat((1.0 - alpha) * ru / (2.0 * du), counts)
         uniq, sums = sum_by_key(nbr_keys, shares)
         (self.keys, self.p_mass, self.r_mass, self.deg), at, added = sorted_merge(
             uniq, self.keys, self.p_mass, self.r_mass, self.deg
@@ -189,7 +189,8 @@ def sweep_cut(g: Graph, p: dict, beta_target: float, best: bool = False):
     if (key_positions(g, keys, keys ^ 1) >= 0).any():
         raise ValueError("sweep_cut requires a simplified mass vector")
     # charge each support-internal cover edge to the later of its two ranks
-    nbr_keys, ws, rank = cover_rows(g, keys)
+    nbr_keys, ws, counts = cover_rows(g, keys)
+    rank = np.repeat(np.arange(keys.size), counts)
     other = key_positions(g, keys, nbr_keys)
     earlier = (other >= 0) & (other < rank)
     inside = np.bincount(rank[earlier], weights=ws[earlier], minlength=keys.size)

@@ -5,10 +5,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairclust
-from pairclust import Graph, cli, write_edge_list
+from pairclust import Graph, cli, esp, write_edge_list
 from pairclust.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -198,6 +199,25 @@ class TestClusterBipartite:
 
 
 class TestClusterDirected:
+    def test_weighted_flow_matches_golden_apart_from_timing(self, capsys, monkeypatch):
+        # 300 regions whose flows run mostly from group g to group g+1 mod 3: the arc
+        # weights |M_jl - M_lj| / (M_jl + M_lj) are not integers, and the samples grow
+        # into the array form, so the golden pins what the weighted array path returns
+        path = DATA_DIR / "flow_cyclic.csv"
+        weights = pairclust.load_flow_matrix(path).weights
+        assert not np.array_equal(weights, np.round(weights))
+        conversions, to_arrays = [], esp._to_arrays
+        monkeypatch.setattr(esp, "_to_arrays", lambda s: conversions.append(1) or to_arrays(s))
+        argv = ["cluster-directed", "-g", str(path), "--format", "flow", "--seed-vertex", "0"]
+        argv += ["--phi", "0.1", "--esp-steps", "12", "--rng-seed", "1", "--json"]
+        assert main(argv) == 0
+        assert conversions
+        got = json.loads(capsys.readouterr().out)
+        golden = json.loads((DATA_DIR / "golden_cluster_directed_flow.json").read_text())
+        assert got.pop("wall_ms") >= 0
+        golden.pop("wall_ms")
+        assert got == golden
+
     def test_pair_holding_the_whole_cover_volume_reports_null_conductance(self, tmp_path, capsys):
         # the one arc 0 -> 1 is a perfect pair whose L1 u R2 holds the whole cover
         # volume; its cover conductance is undefined and used to end the run with exit 3

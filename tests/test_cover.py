@@ -26,8 +26,9 @@ from helpers import (
 
 def _row(g, key):
     """Neighbor keys and weights of one cover key, through the array gather."""
-    keys, ws, owner = cover_rows(g, np.array([key], dtype=np.int64))
-    assert np.all(owner == 0)
+    keys, ws, counts = cover_rows(g, np.array([key], dtype=np.int64))
+    owner = np.repeat(np.arange(1), counts)
+    assert np.all(owner == 0) and counts.tolist() == [keys.size]
     return keys, ws
 
 
@@ -59,7 +60,8 @@ class TestCoverNeighbors:
         edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)] + [(2, 0, 5.0)] * directed
         g = Graph(3, edges, directed=directed)
         keys = np.array([cover_vertex(2, 2), cover_vertex(1, 1), cover_vertex(0, 2)])
-        got_nbrs, got_ws, got_owner = cover_rows(g, keys)
+        got_nbrs, got_ws, counts = cover_rows(g, keys)
+        got_owner = np.repeat(np.arange(keys.size), counts)
         assert got_owner.tolist() == owner
         assert got_nbrs.tolist() == nbrs
         assert got_ws.tolist() == ws

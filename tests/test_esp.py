@@ -48,7 +48,8 @@ class TestEspStep:
         rng = np.random.default_rng(1)
         state = esp_state_from_set(g, set(range(2 * g.n)) - {cover_vertex(3, 1)}, rng)
         keys = sorted(state.members)
-        nbrs, _, owner = cover_rows(g, np.array(keys))
+        nbrs, _, counts = cover_rows(g, np.array(keys))
+        owner = np.repeat(np.arange(len(keys)), counts)
         leaky = {keys[i] for i, nb in zip(owner.tolist(), nbrs.tolist()) if nb not in state.members}
         interior = state.members - leaky
         for _ in range(30):

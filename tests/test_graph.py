@@ -21,6 +21,13 @@ def four_cycle():
     return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
+# Every array a Graph stores; all are read-only.
+_ARRAYS = (
+    "row_indptr", "row_indices", "row_weights", "row_degrees", "row_keys",
+    "indptr", "indices", "weights", "degrees", "in_degrees",
+)
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -82,9 +89,19 @@ class TestConstruction:
         assert g.degree(4) == 0.0
 
     def test_arrays_are_read_only(self):
-        g = four_cycle()
-        with pytest.raises(ValueError):
-            g.weights[0] = 7.0
+        for g in (four_cycle(), Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)):
+            for name in _ARRAYS:
+                with pytest.raises(ValueError):
+                    getattr(g, name)[0] = 7
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_edgeless_graph_arrays_are_float64(self, directed):
+        # np.bincount returns int64 on empty input, even when given float weights
+        for g in (Graph(3, [], directed=directed), Graph.from_arrays(3, [], [], directed=directed)):
+            for name in ("row_weights", "weights", "row_degrees", "degrees", "in_degrees"):
+                assert getattr(g, name).dtype == np.float64, name
+            assert g.degrees.tolist() == g.in_degrees.tolist() == [0.0, 0.0, 0.0]
+            assert g.row_keys.dtype == np.int64 and g.row_keys.size == 0
 
 
 class TestDegree:

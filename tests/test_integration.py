@@ -142,15 +142,21 @@ def test_queries_deduplicate_without_hashing():
     cycle = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]
     und = Graph(7, cycle)
     dig = gen_cbm_plus(CbmPlusSpec(k=3, n=100, n_prime=20, p=0.02, q=0.05, q2_prime=0.1), 3)[0]
-    counted = mock.Mock(wraps=esp.sorted_unique)
+    appended, add_rows = [], esp._add_rows
+
+    def appending_add_rows(state, sign):
+        before = set(state.nbr_mass)
+        add_rows(state, sign)
+        appended.append(bool(set(state.nbr_mass) - before))
+
     with mock.patch.multiple(np, unique=sorting_unique, intersect1d=presorted_intersect1d):
         pair = loc_bipart_dc(und, 0, 20.0, 0.5, alpha=0.3)
         assert build_run_result(und, "cluster-bipartite", 0, {}, pair, 0.0).found
-        # the array form from the first step, so its new-key dedup runs
-        with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=0, sorted_unique=counted):
+        # the array form from the first step, so its new-key dedup (through the key index) runs
+        with mock.patch.multiple(esp, _VECTOR_MIN_KEYS=0, _add_rows=appending_add_rows):
             pair = evo_cut_directed(dig, 300, "both", 0.1, np.random.default_rng(2), steps=10)
         assert build_run_result(dig, "cluster-directed", 300, {}, pair, 0.0).found
-    assert counted.call_count > 0
+    assert any(appended)
 
 
 def test_sweep_and_result_read_the_key_index_not_sorted_lookup():

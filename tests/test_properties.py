@@ -39,6 +39,7 @@ from pairclust.cover import (
     cover_cut_and_volume,
     cover_degree,
     cover_degrees,
+    cover_key_row,
     cover_rows,
     total_cover_volume,
 )
@@ -182,7 +183,8 @@ def test_cover_rows_match_dense_cover(g, data):
     keys = data.draw(st.lists(st.integers(0, 2 * g.n - 1), max_size=4 * g.n))
     keys = np.array(data.draw(st.permutations(keys + [2 * u, 2 * u + 1, 2 * g.n - 1])))
     adj = dense_cover_adjacency(g)
-    nbrs, ws, owner = cover_rows(g, keys)
+    nbrs, ws, counts = cover_rows(g, keys)
+    owner = np.repeat(np.arange(keys.size), counts)
     assert np.all(np.diff(owner) >= 0)  # rows come in key order
     got = sorted(zip(keys[owner].tolist(), nbrs.tolist(), ws.tolist()))
     want = sorted(
@@ -190,6 +192,15 @@ def test_cover_rows_match_dense_cover(g, data):
     )
     assert got == want
     assert np.allclose(cover_degrees(g, keys), adj[keys].sum(axis=1), rtol=1e-12, atol=0.0)
+    # row_keys holds each row's neighbors as cover keys: those of a side-1 reader, and of
+    # a side-2 reader once an undirected row drops its parity; the isolated vertex's are empty
+    assert g.row_keys.dtype == np.int64 and g.row_keys.size == g.row_indices.size
+    for key in range(2 * g.n):
+        row = cover_key_row(g, key)
+        lo, hi = g.row_indptr[row : row + 2].tolist()
+        shift = key & 1 and not g.directed
+        assert (g.row_keys[lo:hi] - shift).tolist() == np.flatnonzero(adj[key]).tolist()
+    assert g.row_indptr[-2] == g.row_indptr[-1]  # the isolated vertex's last row
 
 
 @SETTINGS
@@ -350,6 +361,50 @@ def test_esp_array_state_prunes_like_dict():
     assert {120, 121, 122, 123} <= by_array.members  # zero-degree members never leave
 
 
+def _array_steps_keep_key_index(state, seed, steps):
+    """Step `state` in array form, checking its key index after every step.
+
+    The index holds position + 1 at each tracked key and 0 at every other, and no
+    key is tracked twice, also after a step that appends through the index's marks
+    or prunes. Returns whether some step appended keys and whether some step dropped one.
+    """
+    appended = pruned = False
+    with mock.patch.object(esp, "_VECTOR_MIN_KEYS", 0):
+        for step in range(steps):
+            before = set(state.nbr_mass)
+            esp_step(state, np.random.default_rng([seed, step]))
+            t = state.nbr_mass
+            size = t.ids.size
+            assert np.array_equal(t.index[t.ids], np.arange(1, size + 1))
+            assert np.count_nonzero(t.index) == size
+            assert np.unique(t.ids).size == size
+            after = set(t.ids.tolist())
+            appended |= bool(after - before)
+            pruned |= bool(before - after)
+    return appended, pruned
+
+
+@settings(SETTINGS, max_examples=150)
+@given(start=esp_starts())
+def test_esp_key_index_exact_after_every_array_step(start):
+    state, _, steps, seed = start
+    _array_steps_keep_key_index(state, seed, steps + 4)
+
+
+def test_esp_key_index_exact_through_appends_and_prunes():
+    """A growing seed appends and a shrinking share of the cover prunes; the index stays exact."""
+    rng = np.random.default_rng(11)
+    mask = rng.random((60, 60)) < 0.03
+    np.fill_diagonal(mask, False)
+    u, v = np.nonzero(mask)
+    g = Graph.from_arrays(62, u, v, rng.uniform(0.2, 3.0, u.size), directed=True)
+    seed_key = int(np.flatnonzero(cover_degrees(g, np.arange(2 * g.n)) > 0)[0])
+    share = set(np.flatnonzero(rng.random(2 * g.n) < 0.1).tolist()) | {seed_key}
+    grown = _array_steps_keep_key_index(EspState.from_seed(g, seed_key), 3, 40)
+    shrunk = _array_steps_keep_key_index(esp_state_from_set(g, share, rng), 5, 40)
+    assert grown[0] and shrunk[1]
+
+
 def _dense_flow_graph(n, rows):
     """The flow digraph by definition: dense count matrix, one arc per unbalanced pair."""
     m = np.zeros((n, n))
@@ -432,8 +487,9 @@ def test_sum_by_key_is_unique_then_bincount_in_input_order(keys, count, data):
     want, inverse = np.unique(keys, return_inverse=True)
     assert uniq.tobytes() == want.tobytes() and len(sums) == count
     for total, w in zip(sums, weights):
-        expected = np.bincount(inverse, weights=w, minlength=want.size)
-        assert total.dtype == expected.dtype and total.tobytes() == expected.tobytes()
+        # float64 also on empty input, where np.bincount itself returns int64
+        expected = np.bincount(inverse, weights=w, minlength=want.size).astype(np.float64)
+        assert total.dtype == np.float64 and total.tobytes() == expected.tobytes()
         by_key = dict.fromkeys(uniq.tolist(), 0.0)
         for key, x in zip(keys.tolist(), w.tolist()):
             by_key[key] += x
