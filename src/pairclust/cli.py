@@ -335,6 +335,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("--seed", "--rng-seed"):  # numpy rejects a negative seed without naming it
+            value = getattr(args, flag[2:].replace("-", "_"), 0)
+            if value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         return args.func(args)
     except (ParseError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

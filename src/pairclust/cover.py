@@ -114,7 +114,8 @@ def total_cover_volume(g: Graph) -> float:
 def cover_cut_and_volume(g: Graph, keys: Iterable[int]) -> tuple[float, float]:
     """(boundary weight, volume) of a cover set, through the reduction to (L, R);
     keys follow the one id rule (`graph.as_ids`)."""
-    l, r = to_cluster_pair(sorted_unique(as_ids(keys, g.n, cover=True)))
+    k = sorted_unique(as_ids(keys, g.n, cover=True))
+    l, r = k[(k & 1) == 0] >> 1, k[(k & 1) == 1] >> 1  # sorted and distinct, as the keys are
     vol = g._pair_volume(l, r)
     return vol - 2.0 * g._weight_between(l, r), vol
 
@@ -131,6 +132,5 @@ def conductance_in_cover(g: Graph, keys: Iterable[int]) -> float:
 def to_cluster_pair(keys: Iterable[int]):
     """Split a cover set into (L, R): L from side-1 members, R from side-2. With no
     graph at hand, the keys are checked (`graph.as_ids`) against the largest cover."""
-    k = as_ids(keys, MAX_VERTICES, cover=True)
-    side2 = (k & 1).astype(bool)
-    return np.sort(k[~side2] >> 1), np.sort(k[side2] >> 1)
+    k = np.sort(as_ids(keys, MAX_VERTICES, cover=True), axis=None)
+    return k[(k & 1) == 0] >> 1, k[(k & 1) == 1] >> 1

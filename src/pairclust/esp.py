@@ -6,10 +6,10 @@ where Q(y, S) is the one-step probability of landing in S. Conditioned on the
 walker staying degree-proportionally distributed inside the current set, the
 set marginal is exactly the volume-biased (Doob-transformed) chain, and each
 step only touches the current set and its boundary. The walk law reads the
-incremental neighbor masses. A sample returns only its final set, which goes
-to its pair as one sorted key array with both copies of each doubled vertex
-dropped through the graph's key index (`graph.key_positions`, the sweep's rule);
-only the cleanup-bound check rescans it (`cover_cut_and_volume`).
+incremental neighbor masses. A sample returns only its final set, as a sorted
+int64 key array that its pair reads as it is: both copies of each doubled vertex
+are dropped through the graph's key index (`graph.key_positions`, the sweep's
+rule), and only the cleanup-bound check rescans it (`cover_cut_and_volume`).
 
 A state has two forms with the same law. A sample starts in dict form: a dict
 of neighbor masses and a set of members, stepped by a loop over the tracked
@@ -66,8 +66,8 @@ _MASS_EPS = 1e-12
 # byte size under 1 KiB) does not pin memory for every set size it passes through.
 _VECTOR_MIN_KEYS = 128
 
-# A step count derived from phi fails above this instead of running. At 0.14-0.19
-# ms a step on the table2 digraph (traced), 10**6 steps already take minutes, and
+# A step count derived from phi fails above this instead of running. At about 0.1
+# ms a step on the table2 digraph (traced), 10**6 steps take well over a minute, and
 # phi below 1e-12 asks for more (phi = 1e-30 asks for about 10**18). An explicit
 # step count is not capped.
 _MAX_DERIVED_STEPS = 10**6
@@ -342,11 +342,11 @@ def _add_rows(state: EspState, sign: np.ndarray):
             t.index[t.ids] = np.arange(1, keep.size + 1)
 
 
-def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
+def generate_sample(g: Graph, seed_key: int, t: int, rng) -> np.ndarray:
     """Sample the t-th set of the volume-biased process started from {seed_key}.
 
-    Returns the final set only. Intermediate sets are not measured, because
-    the directed search turns only the final set into a pair.
+    Returns the final set only, as its cover keys in a strictly increasing int64 array.
+    Intermediate sets are not measured: the directed search pairs only the final set.
     """
     t = _as_count(t, "t")
     if t < 0:
@@ -355,7 +355,9 @@ def generate_sample(g: Graph, seed_key: int, t: int, rng) -> frozenset:
     try:
         for _ in range(t):
             esp_step(state, rng)
-        return state.members
+        if state._members is None:
+            return np.sort(state.nbr_mass.ids[state.nbr_mass.inside > 0])
+        return np.sort(np.fromiter(state._members, np.int64, len(state._members)))
     finally:
         if state._members is None:  # the array form holds one of g's key indexes
             give_back_key_index(g, state.nbr_mass.index, state.nbr_mass.ids)
@@ -456,8 +458,7 @@ def evo_cut_directed(
 
 def _sample_pair(g: Graph, seed_key: int, t: int, rng):
     """One evolving-set sample from seed_key, cleaned up into a flow pair (or None)."""
-    s = generate_sample(g, seed_key, t, rng)
-    s = np.sort(np.fromiter(s, np.int64, len(s)))  # keys the sampler made: no id check
+    s = generate_sample(g, seed_key, t, rng)  # sorted distinct keys the sampler made
     s_simple = s[key_positions(g, s, s ^ 1) < 0]  # drop both copies of each doubled vertex
     if not s_simple.size:
         return None

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -13,6 +14,7 @@ from pairclust import Graph, cli, esp, write_edge_list
 from pairclust.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def bipartite_island(tmp_path):
@@ -522,6 +524,35 @@ class TestBench:
         assert f"n1 must be at least 1, got {n1}" in capsys.readouterr().err
 
 
+def _readme_commands():
+    """The argv of every `pairclust` line of README.md's CLI block, with its `> FILE` target."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("pairclust "):
+            words = shlex.split(line)
+            at = words.index(">") if ">" in words else len(words)
+            commands.append((words[1:at], words[at + 1 :]))
+    return commands
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every line exits 0 in a fresh directory; a full bench run takes minutes, so those parse only
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) >= 10 and sum(argv[0] == "bench" for argv, _ in commands) == 2
+        for argv, target in commands:
+            if argv[0] == "bench":
+                cli.build_parser().parse_args(argv)
+                continue
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+            out = capsys.readouterr().out
+            if target:
+                Path(target[0]).write_text(out, encoding="utf-8")
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -644,6 +675,25 @@ class TestExitCodes:
         assert done.returncode == 3
         assert done.stdout == ""
         assert "phi=1e-30 asks for" in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["generate", "sbm", "--n1", "10", "--p1", "0.1", "--q1", "0.2", "-o", "g.edgelist"], "--seed"),
+            (["cluster-directed", "--seed-vertex", "0", "--phi", "0.1"], "--rng-seed"),
+            (["bench", "table2", "--trials", "1"], "--rng-seed"),
+        ],
+    )
+    def test_negative_seed_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # numpy's message used to be the whole error: "expected non-negative integer"
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "cluster-directed":
+            argv = [*argv, "-g", str(small_digraph(tmp_path))]
+        assert main([*argv, flag, "-1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be nonnegative, got -1\n"
+        assert not (tmp_path / "g.edgelist").exists()
 
     def test_invalid_params_is_three(self, tmp_path):
         path = bipartite_island(tmp_path)

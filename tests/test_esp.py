@@ -24,6 +24,7 @@ from pairclust import (
 )
 from pairclust.cover import cover_cut_and_volume, cover_degree, cover_rows
 from pairclust.generators import CbmPlusSpec, SbmSpec, gen_cbm_plus, gen_sbm
+from pairclust.graph import give_back_key_index
 from pairclust.oracle import epsilon_simple_cleanup, pair_to_cover_set
 from helpers import clone_state, esp_state_from_set, random_directed
 
@@ -110,7 +111,8 @@ class TestGenerateSample:
     def test_zero_steps_returns_seed(self):
         g = small_digraph()
         rng = np.random.default_rng(0)
-        assert generate_sample(g, cover_vertex(0, 1), 0, rng) == frozenset({cover_vertex(0, 1)})
+        s = generate_sample(g, cover_vertex(0, 1), 0, rng)
+        assert s.dtype == np.int64 and s.tolist() == [cover_vertex(0, 1)]
 
     def test_invalid_seed_rejected(self):
         g = Graph(2, [(0, 1)], directed=True)
@@ -125,13 +127,37 @@ class TestGenerateSample:
     def test_numpy_integer_step_count_accepted(self):
         g = small_digraph()
         a = generate_sample(g, cover_vertex(0, 1), np.int64(5), np.random.default_rng(3))
-        assert a == generate_sample(g, cover_vertex(0, 1), 5, np.random.default_rng(3))
+        b = generate_sample(g, cover_vertex(0, 1), 5, np.random.default_rng(3))
+        assert a.tolist() == b.tolist()
 
     def test_determinism_under_fixed_seed(self):
         g = random_directed(np.random.default_rng(11), 15, p=0.2)
         a = generate_sample(g, cover_vertex(0, 1), 12, np.random.default_rng(123))
         b = generate_sample(g, cover_vertex(0, 1), 12, np.random.default_rng(123))
-        assert a == b
+        assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("array_form", [False, True])
+    def test_returns_the_final_members_as_sorted_keys(self, array_form):
+        # the sample is the stepped state's member set, as a strictly increasing int64 array;
+        # 16-vertex digraphs never track 128 keys, the CBM+ samples reach the array form
+        cbm = gen_cbm_plus(CbmPlusSpec(k=3, n=300, n_prime=30), 3)[0]
+        for trial in range(8):
+            if array_form:
+                g, seed_key = cbm, cover_vertex(900 + trial, 1 + trial % 2)
+            else:
+                g = random_directed(np.random.default_rng(trial), 16, p=0.2, weighted=trial % 2 == 1)
+                seed_key = cover_vertex(int(np.flatnonzero(g.degrees * g.in_degrees)[0]), 1 + trial % 2)
+            t = 6 + trial % 5
+            s = generate_sample(g, seed_key, t, np.random.default_rng(trial))
+            state, rng = EspState.from_seed(g, seed_key), np.random.default_rng(trial)
+            for _ in range(t):
+                esp_step(state, rng)
+            assert (state._members is None) == array_form
+            if array_form:
+                give_back_key_index(g, state.nbr_mass.index, state.nbr_mass.ids)
+            assert s.dtype == np.int64 and s.ndim == 1
+            assert (np.diff(s) > 0).all()
+            assert s.tolist() == sorted(state.members)
 
     def test_path_conductance_bound_statistical(self):
         # min conductance along the trajectory beats 3*sqrt(4/T * ln vol) for

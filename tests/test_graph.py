@@ -327,16 +327,30 @@ class TestSortedUnique:
     """`sorted_unique` returns what `np.unique` does, without numpy's hash table."""
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(arr=_ID_ARRAYS)
-    @example(arr=np.array([], dtype=np.int64))
-    @example(arr=np.array([], dtype=np.uint64))
-    @example(arr=np.array([-3], dtype=np.int64))
-    @example(arr=np.array([[4, -1, 4], [-1, 0, 9]], dtype=np.int64))
-    @example(arr=np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64))
-    def test_equals_np_unique(self, arr):
+    @given(
+        arr=_ID_ARRAYS,
+        form=st.sampled_from(["random", "sorted", "increasing", "increasing 2-D", "duplicated"]),
+    )
+    @example(arr=np.array([], dtype=np.int64), form="random")
+    @example(arr=np.array([], dtype=np.uint64), form="random")
+    @example(arr=np.array([-3], dtype=np.int64), form="random")
+    @example(arr=np.array([[4, -1, 4], [-1, 0, 9]], dtype=np.int64), form="random")
+    @example(arr=np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), form="random")
+    @example(arr=np.array([], dtype=np.int64), form="increasing")
+    @example(arr=np.array([[3, 1], [2, 0]], dtype=np.int64), form="increasing 2-D")
+    def test_equals_np_unique(self, arr, form):
+        # strictly increasing input skips the sort; every input gets an array of its own
+        arr = {
+            "random": lambda a: a,
+            "sorted": lambda a: np.sort(a, axis=None),
+            "increasing": np.unique,
+            "increasing 2-D": lambda a: np.unique(a).reshape(1, -1),
+            "duplicated": lambda a: np.unique(a).repeat(2),
+        }[form](arr)
         got, want = sorted_unique(arr), np.unique(arr)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        assert not np.shares_memory(got, arr)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(arr=hnp.arrays(np.int64, _ID_SHAPES, elements=st.integers(0, 9)))
