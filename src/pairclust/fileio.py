@@ -107,10 +107,14 @@ def load_edge_list(path, directed: bool = False) -> Graph:
 
     The weight defaults to 1.0. Directed files read `u v` as an arc u -> v.
     Parallel edges merge by weight sum; self-loops and nonpositive or
-    non-finite weights are rejected with the line number.
+    non-finite weights are rejected with the line number, and weights whose
+    total cover volume is past the float range naming the file.
     """
     n, us, vs, ws = _read_rows(path, _EDGE_LIST)
-    return Graph.from_arrays(n, us, vs, ws, directed=directed)
+    try:
+        return Graph.from_arrays(n, us, vs, ws, directed=directed)
+    except ValueError as exc:  # the rows are valid, but their volume leaves the float range
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_rows(path, fmt: _Format):
@@ -176,9 +180,9 @@ def _line_rows(path, fmt: _Format):
 
 def write_edge_list(g: Graph, path):
     """Write the merged edges sorted by (u, v), u < v if undirected; round trips are byte-stable."""
-    us = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    once = slice(None) if g.directed else us < g.indices
-    edges = zip(us[once].tolist(), g.indices[once].tolist(), g.weights[once].tolist())
+    us, vs = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices
+    once = slice(None) if g.directed else us < vs
+    edges = zip(us[once].tolist(), vs[once].tolist(), g.weights[once].tolist())
     with open(path, "w", encoding="utf-8") as handle:
         for u, v, w in edges:
             handle.write(f"{u} {v} {w!r}\n")
@@ -263,7 +267,7 @@ def graph_fingerprint(g: Graph) -> dict:
     """Stable identity of a graph: n, merged edge count, and a content hash.
 
     The hash is blake2b over n, the directed flag and the out-row CSR bytes (`indptr`,
-    `indices` as <i8, `weights` as <f8), computed once per graph and kept on it.
+    the derived `indices` as <i8, `weights` as <f8), computed once per graph and kept on it.
     Each call returns a new dict, so editing one cannot change the kept value.
     """
     kept = g._fingerprint

@@ -96,7 +96,7 @@ def as_vertex_array(n: int, vertices: Iterable[int]) -> np.ndarray:
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray):
-    """Positions of the concatenated CSR rows `rows` in indices/weights, and each row's length."""
+    """Positions of the concatenated CSR rows `rows` in row_keys/weights, and each row's length."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     offsets = (starts - counts.cumsum() + counts).repeat(counts)
@@ -169,16 +169,17 @@ class Graph:
     vertex per concurrent borrower from its first borrow; borrowers zero what they
     set before giving back, and atomic `list.pop`/`append` give each query its own.
 
-    The adjacency is one CSR (`row_indptr`, `row_indices`, `row_weights`, with
+    The adjacency is one CSR (`row_indptr`, `row_keys`, `row_weights`, with
     weighted row degrees `row_degrees`) over the rows a cover vertex reads.
     Row u is u's out-row. An undirected graph stores each edge in both
     endpoints' rows and has n rows; a side-2 cover copy reads the same row as
     side 1, so `side2_row` is 0. A digraph has 2n rows: its out-rows, then
     at n + v the in-row of v, so `side2_row` is n. Each row is sorted by
-    column. `indptr`, `indices`, `weights` (the out-rows), `degrees` (out-degrees
-    for a digraph) and `in_degrees` are read-only views of that CSR; `row_keys`
-    (8 bytes an entry) holds each entry's neighbor as a cover key, 2v+1 in an
-    out-row and 2v in an in-row.
+    neighbor. `row_keys` is the one neighbor array: it holds each entry's
+    neighbor v as a cover key, 2v+1 in an out-row and 2v in an in-row.
+    `indptr`, `weights` (the out-rows), `degrees` (out-degrees for a digraph)
+    and `in_degrees` are read-only views of that CSR; `indices`, the out-rows'
+    neighbor ids, is derived from `row_keys` on each read.
     """
 
     __slots__ = (
@@ -186,13 +187,11 @@ class Graph:
         "directed",
         "edge_count",
         "row_indptr",
-        "row_indices",
         "row_weights",
         "row_degrees",
         "row_keys",
         "side2_row",
         "indptr",
-        "indices",
         "weights",
         "degrees",
         "in_degrees",
@@ -253,37 +252,43 @@ class Graph:
         nrows = n + side2
         rows = np.concatenate([su, sv])
         rows[m:] += side2
-        cols = np.concatenate([sv, su])
         vals = np.concatenate([sw, sw])
-        del su, sv, sw
         deg = np.bincount(rows, weights=vals, minlength=nrows).astype(float, copy=False)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        # Sort by (row, col), unique after merging, on a key built in place of
-        # rows. It reaches nrows * n <= 2 * MAX_VERTICES**2 < 2**64: unsigned.
-        key = rows.view(np.uint64)
-        del rows
-        key *= np.uint64(n)
-        key += cols.view(np.uint64)
-        order = np.argsort(key)
-        del key
-        cols = cols[order]
-        vals = vals[order]
-        out_end = int(indptr[n])
-        nbrs = 2 * cols  # each entry's neighbor as a cover key: 2v+1 in an out-row, 2v in an in-row
-        nbrs[:out_end] += 1
-        for arr in (indptr, cols, vals, deg, nbrs):
+        # Arrays are dropped after their last use, so that later ones reuse their memory:
+        # fresh pages cost 2 of 16 ms of a 121k-edge undirected build (2-core x86 VM).
+        if directed:  # sum_by_key left the out-rows in (row, col) order: sort only the in-rows
+            del rows
+            order = np.argsort(sv * np.int64(n) + su)
+            nbrs = np.concatenate([sv, su[order]])
+            vals[m:] = sw[order]
+        else:  # both halves share the n rows: sort all 2m entries by a (row, col) key < n * n
+            nbrs = np.concatenate([sv, su])
+            del su, sv, sw
+            rows *= n
+            rows += nbrs
+            order = np.argsort(rows)
+            del rows
+            nbrs = nbrs[order]
+            vals = vals[order]
+        nbrs *= 2  # each entry's neighbor v as a cover key: 2v+1 in an out-row, 2v in an in-row
+        nbrs[: indptr[n]] += 1
+        for arr in (indptr, vals, deg, nbrs):
             arr.setflags(write=False)
-        self.row_indptr, self.row_indices, self.row_weights = indptr, cols, vals
-        self.row_degrees, self.row_keys = deg, nbrs
+        self.row_indptr, self.row_keys, self.row_weights, self.row_degrees = indptr, nbrs, vals, deg
         self.side2_row = side2
         self.indptr = indptr[: n + 1]
-        self.indices = cols[:out_end]
-        self.weights = vals[:out_end]
+        self.weights = vals[: indptr[n]]
         self.degrees = deg[:n]
         self.in_degrees = deg[side2 : side2 + n]
-        self._total_deg = float(self.degrees.sum())
-        self._total_in_deg = float(self.in_degrees.sum())
+        with np.errstate(over="ignore"):  # refused below, naming a vertex where it can
+            self._total_deg = float(self.degrees.sum())
+            self._total_in_deg = float(self.in_degrees.sum())
+        if not math.isfinite(self._total_deg + self._total_in_deg):
+            bad = np.flatnonzero(~(np.isfinite(self.degrees) & np.isfinite(self.in_degrees)))
+            where = f": vertex {bad[0]} has a degree past it" if bad.size else ""
+            raise ValueError("the total cover volume is past the float range" + where)
         self._fingerprint = self._vertex_ids = None
         self._key_indexes = []
 
@@ -295,11 +300,18 @@ class Graph:
             raise ValueError("degree() is undirected-only; read the degrees / in_degrees arrays")
         return float(self.degrees[as_id(v, self.n)])
 
+    @property
+    def indices(self) -> np.ndarray:
+        """The out-rows' neighbor ids, `row_keys >> 1` over them: a new read-only array."""
+        ids = self.row_keys[: self.indptr[-1]] >> 1
+        ids.setflags(write=False)
+        return ids
+
     def neighbors(self, v: int):
-        """Out-neighbors of v as (ids, weights) array views."""
+        """Out-neighbors of v as (ids, weights): ids derived from `row_keys`, weights a view."""
         v = as_id(v, self.n)
         s, e = self.indptr[v], self.indptr[v + 1]
-        return self.indices[s:e], self.weights[s:e]
+        return self.row_keys[s:e] >> 1, self.weights[s:e]
 
     def volume(self, vertices: Iterable[int]) -> float:
         """Sum of weighted degrees over a vertex set (out-volume if directed)."""
@@ -321,9 +333,11 @@ class Graph:
         return self._weight_between(a_ids, b_ids)
 
     def _weight_between(self, a_ids: np.ndarray, b_ids: np.ndarray) -> float:
-        """Weight of the out-edges from a_ids into b_ids (unique in-range ids), in a's row order."""
+        """Weight of the out-edges from a_ids into b_ids (unique in-range ids), in a's row order:
+        an out-row entry reaches b when its neighbor key is b's side-2 key 2b+1."""
         pos, _ = row_positions(self.indptr, a_ids)
-        return float(self.weights[pos[key_positions(self, b_ids, self.indices[pos]) >= 0]].sum())
+        hit = key_positions(self, 2 * b_ids + 1, self.row_keys[pos]) >= 0
+        return float(self.weights[pos[hit]].sum())
 
     def _pair_volume(self, l_ids: np.ndarray, r_ids: np.ndarray) -> float:
         """vol(L1 u R2) = vol_out(L) + vol_in(R): the one volume rule for a pair."""

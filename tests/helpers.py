@@ -129,35 +129,50 @@ def clone_state(state: EspState) -> EspState:
     return EspState(g, None, state.walker, arrays, state.vol)
 
 
+def csr_reference(n, edges, directed):
+    """The `row_indptr`, `row_keys`, `row_weights` and `row_degrees` of `Graph.from_arrays` on
+    (u, v, w) edges, in plain Python: parallel edges (undirected: either orientation) summed
+    from 0.0 in input order; each merged edge, in (u, v) key order, stored in u's out-row as
+    key 2v+1, then in the transposed half as key 2u+1 in v's row (undirected) or 2u in v's
+    in-row at n + v (directed); each row sorted by key. A row's degree sums its entries from
+    0.0 over the first half, then the transposed half, each in key order."""
+    merged = {}
+    for u, v, w in edges:
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + w
+    side2 = n if directed else 0
+    rows = [[] for _ in range(n + side2)]
+    degrees = [0.0] * (n + side2)
+    for transposed in (False, True):
+        for (u, v), w in sorted(merged.items()):
+            row, nbr = (side2 + v, 2 * u + (not directed)) if transposed else (u, 2 * v + 1)
+            rows[row].append((nbr, w))
+            degrees[row] += w
+    indptr, keys, weights = [0], [], []
+    for row in map(sorted, rows):
+        keys += [nbr for nbr, _ in row]
+        weights += [w for _, w in row]
+        indptr.append(len(keys))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(keys, dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+        np.array(degrees, dtype=np.float64),
+    )
+
+
 def flow_rows_reference(rows):
-    """The `row_indptr`, `row_indices`, `row_weights` and `row_degrees` of the flow digraph of
-    (j, l, count) rows, in plain Python: per unordered pair lo < hi, M_lo,hi and M_hi,lo summed
-    from 0.0 in file order; when they differ, one arc from the larger flow's origin weighted
-    |fwd - bwd| / (fwd + bwd), stored in its tail's out-row and its head's in-row."""
+    """The `csr_reference` of the flow digraph of (j, l, count) rows, in plain Python: per
+    unordered pair lo < hi, M_lo,hi and M_hi,lo summed from 0.0 in file order; when they
+    differ, one arc from the larger flow's origin weighted |fwd - bwd| / (fwd + bwd)."""
     n = 1 + max((max(j, l) for j, l, _ in rows), default=-1)
     flows = {}
     for j, l, count in rows:
         if j != l:
             flows.setdefault((min(j, l), max(j, l)), [0.0, 0.0])[int(j > l)] += count
-    out = [[] for _ in range(2 * n)]
+    arcs = []
     for (lo, hi), (fwd, bwd) in flows.items():
         if fwd != bwd:
             u, v = (lo, hi) if fwd > bwd else (hi, lo)
-            w = abs(fwd - bwd) / (fwd + bwd)
-            out[u].append((v, w))
-            out[n + v].append((u, w))
-    indptr, indices, weights, degrees = [0], [], [], []
-    for row in map(sorted, out):
-        degree = 0.0
-        for col, w in row:
-            indices.append(col)
-            weights.append(w)
-            degree += w
-        indptr.append(len(indices))
-        degrees.append(degree)
-    return (
-        np.array(indptr, dtype=np.int64),
-        np.array(indices, dtype=np.int64),
-        np.array(weights, dtype=np.float64),
-        np.array(degrees, dtype=np.float64),
-    )
+            arcs.append((u, v, abs(fwd - bwd) / (fwd + bwd)))
+    return csr_reference(n, arcs, directed=True)

@@ -643,6 +643,23 @@ class TestExitCodes:
         assert main(argv + ["-g", str(bad)]) == 2
         assert f"{bad}: the flows 0,1 and 1,0 total past the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster-directed", "--phi", "0.5", "--esp-steps", "3"],
+            ["cluster-bipartite", "--gamma", "10", "--beta", "0.5"],
+        ],
+        ids=["directed", "bipartite"],
+    )
+    def test_volume_past_the_float_range_is_two(self, tmp_path, capsys, argv):
+        # the directed run used to end in an IndexError from the walker, and the
+        # bipartite one in "no qualifying pair found" with exit 0
+        big = tmp_path / "big.edges"
+        big.write_text("0 1 1e308\n0 2 1e308\n2 3 1\n3 1 1\n")
+        assert main(argv + ["-g", str(big), "--seed-vertex", "0"]) == 2
+        want = f"{big}: the total cover volume is past the float range: vertex 0 has a degree past it"
+        assert want in capsys.readouterr().err
+
     def test_result_json_syntax_error_names_the_file(self, tmp_path, capsys):
         result_path = tmp_path / "r.json"
         result_path.write_text('{"l": [0],\n "r": [1],')

@@ -68,6 +68,16 @@ class TestLoadEdgeList:
         assert g.edge_count == 1
         assert g.degree(0) == 3.0
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_volume_past_the_float_range_names_the_file(self, tmp_path, directed):
+        # every weight finite, vertex 0's degree not: the CLI exits 2 on it, not in the walker
+        f = tmp_path / "big.edges"
+        f.write_text("0 1 1e308\n0 2 1e308\n2 3 1\n3 1 1\n")
+        with pytest.raises(ParseError) as info:
+            load_edge_list(f, directed=directed)
+        want = "the total cover volume is past the float range: vertex 0 has a degree past it"
+        assert str(info.value) == f"{f}: {want}"
+
 
 class TestBulkParse:
     @pytest.mark.parametrize(
@@ -140,7 +150,7 @@ class TestBulkParse:
         monkeypatch.setattr(fileio, "_line_rows", line_rows)
         g = load_flow_matrix(padded)
         line_rows.assert_not_called()
-        for name in ("row_indptr", "row_indices", "row_weights", "row_degrees"):
+        for name in ("row_indptr", "row_keys", "row_weights", "row_degrees"):
             assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
         assert graph_fingerprint(g) == graph_fingerprint(expected)
 

@@ -21,9 +21,9 @@ def four_cycle():
     return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-# Every array a Graph stores; all are read-only.
+# Every array a Graph stores, and the derived `indices`; all are read-only.
 _ARRAYS = (
-    "row_indptr", "row_indices", "row_weights", "row_degrees", "row_keys",
+    "row_indptr", "row_weights", "row_degrees", "row_keys",
     "indptr", "indices", "weights", "degrees", "in_degrees",
 )
 
@@ -83,6 +83,33 @@ class TestConstruction:
             Graph.from_arrays(3037000500, [0], [1])
         with pytest.raises(ValueError, match="overflow int64"):
             Graph(2**63, [(0, 1)], directed=True)
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize(
+        "edges, where",
+        [
+            # each weight finite, vertex 0's degree not
+            ([(0, 1, 1e308), (0, 2, 1e308), (2, 3, 1.0)], ": vertex 0 has a degree past it"),
+            # a merged edge past the range: both endpoints' degrees, and the first is named
+            ([(2, 3, 1.0), (2, 1, 1e308), (2, 1, 1e308)], ": vertex 1 has a degree past it"),
+            # each degree finite, their total not
+            ([(0, 1, 1e308), (2, 3, 1e308)], ""),
+        ],
+        ids=["degree", "merged-edge", "total"],
+    )
+    def test_rejects_a_volume_past_the_float_range(self, edges, where, directed):
+        message = "the total cover volume is past the float range" + where
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(4, edges, directed=directed)
+
+    def test_names_a_vertex_by_its_in_degree(self):
+        with pytest.raises(ValueError, match="vertex 0 has a degree past it"):
+            Graph(3, [(1, 0, 1e308), (2, 0, 1e308)], directed=True)
+
+    def test_large_volume_inside_the_float_range_builds(self):
+        for directed in (False, True):
+            g = Graph(3, [(0, 1, 2e307), (1, 2, 2e307)], directed=directed)
+            assert np.isfinite(g.row_degrees).all()
 
     def test_isolated_vertices_allowed(self):
         g = Graph(5, [(0, 1)])

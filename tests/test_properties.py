@@ -45,7 +45,13 @@ from pairclust.cover import (
 )
 from pairclust.oracle import dense_cover_adjacency, pair_to_cover_set
 from pairclust.graph import sum_by_key
-from helpers import clone_state, dense_cover_cut_and_volume, esp_state_from_set, flow_rows_reference
+from helpers import (
+    clone_state,
+    csr_reference,
+    dense_cover_cut_and_volume,
+    esp_state_from_set,
+    flow_rows_reference,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -194,7 +200,7 @@ def test_cover_rows_match_dense_cover(g, data):
     assert np.allclose(cover_degrees(g, keys), adj[keys].sum(axis=1), rtol=1e-12, atol=0.0)
     # row_keys holds each row's neighbors as cover keys: those of a side-1 reader, and of
     # a side-2 reader once an undirected row drops its parity; the isolated vertex's are empty
-    assert g.row_keys.dtype == np.int64 and g.row_keys.size == g.row_indices.size
+    assert g.row_keys.dtype == np.int64 and g.row_keys.size == g.row_indptr[-1]
     for key in range(2 * g.n):
         row = cover_key_row(g, key)
         lo, hi = g.row_indptr[row : row + 2].tolist()
@@ -465,9 +471,31 @@ def test_flow_matrix_rows_match_the_pair_sum_reference(rows, data):
         path.write_text("".join(f"{j},{l},{c!r}\n" for j, l, c in rows))
         g = load_flow_matrix(path)
     want = flow_rows_reference(rows)
-    got = (g.row_indptr, g.row_indices, g.row_weights, g.row_degrees)
+    got = (g.row_indptr, g.row_keys, g.row_weights, g.row_degrees)
     for have, expected in zip(got, want):
         assert have.tobytes() == expected.tobytes()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    n=st.integers(2, 7),
+    # scaled by e, so that sums in another order tend to round differently
+    edges=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(1e-3, 1e3).map(math.e.__mul__)),
+        max_size=40,
+    ),
+    directed=st.booleans(),
+)
+# vertex 2's degree sums its out-row's 0.3, then 0.1 and 0.7: 1.1, where 0.3 + (0.1 + 0.7) is not
+@example(n=4, edges=[(0, 2, 0.1), (1, 2, 0.7), (2, 3, 0.3)], directed=False)
+def test_csr_matches_the_plain_python_reference(n, edges, directed):
+    # ids wrap into [0, n): parallel edges in both orientations are common, in any order
+    edges = [(u % n, v % n, w) for u, v, w in edges if u % n != v % n]
+    u, v, w = map(list, zip(*edges)) if edges else ([], [], [])
+    g = Graph.from_arrays(n, u, v, w, directed=directed)
+    got = (g.row_indptr, g.row_keys, g.row_weights, g.row_degrees)
+    for have, expected in zip(got, csr_reference(n, edges, directed)):
+        assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
 
 
 _KEYS = st.lists(st.integers(-3, 6), max_size=40)
@@ -645,7 +673,7 @@ def _assert_bulk_parse_agrees_with_line_parser(data, name, load, fmt):
         return
     assert isinstance(got, Graph)
     assert (got.n, got.directed, got.edge_count) == (want.n, want.directed, want.edge_count)
-    for name in ("indptr", "indices", "weights", "row_indptr", "row_indices", "row_weights"):
+    for name in ("indptr", "indices", "weights", "row_indptr", "row_keys", "row_weights"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert graph_fingerprint(got) == graph_fingerprint(want)
 
@@ -679,8 +707,9 @@ def test_cli_never_ends_in_a_traceback_on_a_graph_file(data, seed_vertex, beta):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3)
-    if code == 2:
-        assert re.search(re.escape(str(path)) + r":\d+: ", err.getvalue())
+    if code == 2:  # a refused line, or valid rows whose volume leaves the float range
+        volume = ": the total cover volume is past the float range"
+        assert re.search(re.escape(str(path)) + rf"(:\d+: |{volume})", err.getvalue())
 
 
 def brute_force_sweep(g: Graph, p: dict, beta_target: float, best: bool):
