@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from pairclust import Graph
-from pairclust.cover import cover_degree
+from pairclust.cover import cover_degree, cover_degrees, cover_rows, cover_vertex
 from pairclust.esp import EspState
 from pairclust.oracle import dense_cover_adjacency
 
@@ -176,3 +176,28 @@ def flow_rows_reference(rows):
             u, v = (lo, hi) if fwd > bwd else (hi, lo)
             arcs.append((u, v, abs(fwd - bwd) / (fwd + bwd)))
     return csr_reference(n, arcs, directed=True)
+
+
+def reference_push_rounds(g: Graph, seed_vertex, alpha, epsilon) -> list:
+    """Each push round's (keys, p_mass, r_mass) as `AprState.run` computes them, with every
+    round's neighbour shares summed by `np.unique` plus `np.bincount` in gather order and
+    merged into the sorted keys by `np.union1d`: the sum-by-key rule without its fast path
+    for increasing keys, which a round that pushes one key takes."""
+    keys = np.array([cover_vertex(seed_vertex, 1)], dtype=np.int64)
+    p_mass, r_mass, deg = np.zeros(1), np.ones(1), np.array([g.degree(seed_vertex)])
+    rounds = []
+    while (frontier := np.flatnonzero(r_mass >= epsilon * deg)).size:
+        ru, du = r_mass[frontier], deg[frontier]
+        p_mass[frontier] += alpha * ru
+        r_mass[frontier] = (1.0 - alpha) * ru * 0.5
+        nbr_keys, shares, counts = cover_rows(g, keys[frontier])
+        shares *= np.repeat((1.0 - alpha) * ru / (2.0 * du), counts)
+        uniq, inverse = np.unique(nbr_keys, return_inverse=True)
+        sums = np.bincount(inverse, shares, uniq.size)
+        merged = np.union1d(keys, uniq)
+        grown = np.zeros((2, merged.size))
+        grown[:, np.searchsorted(merged, keys)] = p_mass, r_mass
+        keys, (p_mass, r_mass), deg = merged, grown, cover_degrees(g, merged)
+        r_mass[np.searchsorted(keys, uniq)] += sums
+        rounds.append((keys.copy(), p_mass.copy(), r_mass.copy()))
+    return rounds

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from pairclust import Graph, bipartiteness, conductance, cut_imbalance, flow_ratio
 from pairclust.cover import cover_cut_and_volume
+from pairclust import graph as graph_module
 from pairclust.graph import as_vertex_array, sorted_unique
 from pairclust.oracle import pair_to_cover_set
 from helpers import random_disjoint_pair, random_undirected
@@ -61,6 +62,57 @@ class TestConstruction:
         # both constructors used to truncate: (0, 1.9) built the edge 0-1
         with pytest.raises(ValueError, match="not an integer|must be integers"):
             build()
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2.5, [(0, 2)]),
+            (np.float64(3.9), [(0, 3), (1, 2)]),
+            (True, [(0, 1)]),
+            (np.True_, [(0, 1)]),
+            (float("nan"), [(0, 1)]),
+            (float("inf"), [(0, 1)]),
+            ("3", [(0, 1)]),
+            (-1, [(0, 1)]),
+        ],
+        ids=["fraction", "numpy-fraction", "bool", "numpy-bool", "nan", "inf", "str", "negative"],
+    )
+    def test_rejects_a_vertex_count_that_is_not_a_nonnegative_integer(self, n, edges):
+        # n = 2.5 used to take id 2 and then build with n = 2, storing (0, 2) as 0-1
+        message = f"^vertex count {n} is not a nonnegative integer$"
+        for build in (lambda: Graph(n, edges), lambda: Graph.from_arrays(n, *zip(*edges))):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    @pytest.mark.parametrize("n", [4, 4.0, np.int64(4), np.uint8(4), np.float32(4.0)])
+    def test_whole_and_numpy_vertex_counts_build(self, n):
+        for directed in (False, True):
+            g = Graph(n, [(0, 3), (1, 2)], directed=directed)
+            assert type(g.n) is int and g.n == 4
+            assert g.indices.tolist() == ([3, 2, 1, 0] if not directed else [3, 2])
+
+    @pytest.mark.parametrize(
+        "u, v, w",
+        [
+            (np.zeros((4, 1), dtype=np.int64), np.arange(1, 5), None),
+            (np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), None),
+            (np.array([0, 1]), np.array([1, 2, 3]), None),
+            (np.array([0, 1]), np.array([1, 2]), np.ones((2, 1))),
+        ],
+        ids=["column-and-row", "equal-size-2d", "unequal-length", "column-weights"],
+    )
+    def test_from_arrays_requires_1d_arrays_of_equal_length(self, u, v, w):
+        # (4, 1) against (4,) used to broadcast in u == v and report a self-loop
+        with pytest.raises(ValueError, match="^endpoint and weight arrays must be 1-d and of "):
+            Graph.from_arrays(5, u, v, w)
+
+    def test_rejects_more_edges_than_its_sort_keys_hold(self, monkeypatch):
+        # the build sorts keys sv * m + i, so n * m must fit in int64 as n * n does
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 3)
+        arcs = [(0, 1), (1, 0), (0, 2), (2, 0)]
+        with pytest.raises(ValueError, match="^4 edges on 3 vertices: sort keys overflow int64$"):
+            Graph(3, arcs, directed=True)
+        assert Graph(3, arcs[:3], directed=True).edge_count == 3
 
     def test_whole_float_endpoints_build_the_edge(self):
         assert Graph.from_arrays(3, np.array([0.0]), np.array([2.0])).indices.tolist() == [2, 0]

@@ -1,4 +1,4 @@
-"""Property tests on random small weighted graphs: round push, sweep cut, cover scan,
+"""Property tests on random small weighted graphs: round push and its frozen reference, sweep cut, cover scan,
 the pair volume rule, the cover row gather, the two forms of the evolving-set step, the edge-list round trip, the bulk edge-list
 parse, the sum-by-key rule, the flow-matrix loader and its bulk parse, and the CLI's exit codes on arbitrary graph files."""
 
@@ -51,6 +51,7 @@ from helpers import (
     dense_cover_cut_and_volume,
     esp_state_from_set,
     flow_rows_reference,
+    reference_push_rounds,
 )
 
 SETTINGS = settings(
@@ -116,6 +117,33 @@ def test_round_push_guarantees(g, alpha, epsilon, pick):
         assert rounds and rounds[-1] == state.push_count
     else:
         assert not rounds and state.p == {}
+
+
+@SETTINGS
+@given(
+    # scaled by e, so that shares summed in another order tend to round differently
+    g=graphs(weights=st.floats(0.2, 3.0).map(math.e.__mul__)),
+    alpha=st.floats(0.05, 0.9),
+    epsilon=st.floats(1e-4, 1e-2),
+    pick=st.integers(0, 100),
+)
+def test_push_rounds_match_the_unique_then_bincount_reference(g, alpha, epsilon, pick):
+    # a round that pushes one key gathers one sorted row, which sum_by_key returns as is;
+    # the state is read ordered by key, so a push that keeps its keys unsorted compares too
+    seeds = np.flatnonzero(g.degrees > 0)
+    seed = int(seeds[pick % seeds.size])
+    want = reference_push_rounds(g, seed, alpha, epsilon)
+    got = []
+
+    def record(state):
+        order = np.argsort(state.keys)
+        got.append(tuple(arr[order] for arr in (state.keys, state.p_mass, state.r_mass)))
+
+    AprState(g, seed, alpha, epsilon).run(on_push=record)
+    assert len(got) == len(want)
+    for have, expected in zip(got, want):
+        for a, b in zip(have, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @SETTINGS
@@ -226,6 +254,20 @@ def test_edge_list_round_trip(g):
     assert np.array_equal(h.indptr, g.indptr[: h.n + 1])
     assert np.array_equal(h.indices, g.indices)
     assert np.array_equal(h.weights, g.weights)
+
+
+@SETTINGS
+@given(g=st.one_of(graphs(weights=st.floats(1e-3, 1e3)), digraphs(weights=st.floats(1e-3, 1e3))))
+def test_a_file_and_its_reversed_lines_load_alike(g):
+    # a written file's keys increase and skip np.unique; reversed, they take the general path
+    with tempfile.TemporaryDirectory() as tmp:
+        written, reversed_ = Path(tmp) / "a.edgelist", Path(tmp) / "b.edgelist"
+        write_edge_list(g, written)
+        reversed_.write_text("".join(written.read_text().splitlines(keepends=True)[::-1]))
+        a, b = (load_edge_list(path, directed=g.directed) for path in (written, reversed_))
+    for name in ("row_indptr", "row_keys", "row_weights", "row_degrees"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert graph_fingerprint(a) == graph_fingerprint(b)
 
 
 @st.composite
@@ -485,12 +527,17 @@ def test_flow_matrix_rows_match_the_pair_sum_reference(rows, data):
         max_size=40,
     ),
     directed=st.booleans(),
+    written=st.booleans(),
 )
 # vertex 2's degree sums its out-row's 0.3, then 0.1 and 0.7: 1.1, where 0.3 + (0.1 + 0.7) is not
-@example(n=4, edges=[(0, 2, 0.1), (1, 2, 0.7), (2, 3, 0.3)], directed=False)
-def test_csr_matches_the_plain_python_reference(n, edges, directed):
+@example(n=4, edges=[(0, 2, 0.1), (1, 2, 0.7), (2, 3, 0.3)], directed=False, written=False)
+@example(n=4, edges=[(0, 2, 0.1), (1, 2, 0.7), (2, 3, 0.3)], directed=False, written=True)
+def test_csr_matches_the_plain_python_reference(n, edges, directed, written):
     # ids wrap into [0, n): parallel edges in both orientations are common, in any order
     edges = [(u % n, v % n, w) for u, v, w in edges if u % n != v % n]
+    if written:  # as write_edge_list writes: parallel-free, sorted by (u, v), u < v if undirected
+        edges = {(u, v) if directed else (min(u, v), max(u, v)): w for u, v, w in edges}
+        edges = [(u, v, w) for (u, v), w in sorted(edges.items())]
     u, v, w = map(list, zip(*edges)) if edges else ([], [], [])
     g = Graph.from_arrays(n, u, v, w, directed=directed)
     got = (g.row_indptr, g.row_keys, g.row_weights, g.row_degrees)
@@ -522,6 +569,33 @@ def test_sum_by_key_is_unique_then_bincount_in_input_order(keys, count, data):
         for key, x in zip(keys.tolist(), w.tolist()):
             by_key[key] += x
         assert total.tolist() == list(by_key.values())
+
+
+@SETTINGS
+@given(
+    keys=st.lists(st.integers(-3, 60), unique=True, max_size=40).map(sorted),
+    data=st.data(),
+)
+@example(keys=[], data=None)
+@example(keys=[5], data=None)
+def test_sum_by_key_on_increasing_keys_is_unique_then_bincount(keys, data):
+    # strictly increasing keys skip np.unique; what comes back must not tell
+    size = len(keys)
+    draw = data.draw if data else (lambda strategy: [-0.0] * size)
+    weights = [
+        np.array(draw(st.lists(_WEIGHTS, min_size=size, max_size=size)), dtype=float),
+        np.array(draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)), np.int64),
+        np.full(size, -0.0),
+    ]
+    keys = np.array(keys, dtype=np.int64)
+    uniq, *sums = sum_by_key(keys, *weights)
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert uniq.dtype == want.dtype and uniq.tobytes() == want.tobytes()
+    for total, w in zip(sums, weights):
+        expected = np.bincount(inverse, weights=w, minlength=want.size).astype(np.float64)
+        assert total.dtype == np.float64 and total.tobytes() == expected.tobytes()
+        assert not np.shares_memory(total, w)  # a caller may write into its sums
+    assert not np.signbit(sums[2]).any()  # bincount adds -0.0 to 0.0
 
 
 # Ids stay small, or are too large for a Graph (its edge keys u*n + v would
