@@ -551,6 +551,9 @@ _WEIGHTS = st.floats(-1e6, 1e6, allow_subnormal=False)
 
 @SETTINGS
 @given(keys=_KEYS, count=st.integers(0, 3), data=st.data())
+# order is tested on a 64-key head first; a break after the head must still merge
+@example(keys=[*range(64), 63, *range(65, 100)], count=0, data=None)
+@example(keys=[*range(70), 3, *range(71, 100)], count=0, data=None)
 def test_sum_by_key_is_unique_then_bincount_in_input_order(keys, count, data):
     size = len(keys)
     weights = [
