@@ -2,11 +2,13 @@
 
 One reader, `_read_rows`, parses edge lists and flow matrices, each given as a `_Format`:
 one `np.loadtxt` pass with bulk checks, and the line parser, which names `path:line`,
-for any file that pass refuses. Both paths give the same arrays."""
+for any file that pass refuses. Both paths give the same arrays. numpy reads a plain
+local edge list by path, in C chunks; other inputs and flow CSVs as a handle, by line."""
 
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -51,6 +53,7 @@ _FLOW_CSV = _Format(",", (3,), "j,l,count", (
 ))
 _FIELDS = [("u", "i8"), ("v", "i8"), ("w", "f8")]
 _INT64 = np.iinfo(np.int64)
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes numpy opens with a decompressor
 
 
 def _int64(token: str) -> int:
@@ -127,22 +130,29 @@ def _bulk_rows(path, fmt: _Format):
     """(u, v, w) arrays of a file whose data lines share one field count of `fmt` and
     whose rows all keep the id range and `fmt`'s rules; else None, for the line parser.
 
-    numpy reads an open handle, not the path, which it would open as gzip (`.gz`) or
-    fetch (a URL). A delimited format's lines are stripped first: numpy would read a
-    whitespace-only line as one empty field, which the line parser skips. It accepts
-    fewer spellings than `int` (no `1_0`, no non-ASCII digits, nothing outside int64);
-    such files, and ids too large for a Graph, fall back. A file that is not UTF-8 is
-    refused here. numpy releases that parse an integer via a float (`1.5` as 1) only
-    warn; that warning is raised as an error, so those files fall back.
+    numpy reads a path in C chunks, faster than it iterates an open handle's lines. It
+    gets the absolute path (no `a://b` spelling reads as a URL) of a whitespace format's
+    regular file without a suffix it decompresses; every other input is an open handle:
+    those suffixes, pipes (which a reopen per field count would consume), and delimited
+    lines, stripped first (numpy reads a whitespace-only line as one empty field, which
+    the line parser skips). numpy accepts fewer spellings than `int` (no `1_0`, no
+    non-ASCII digits, nothing outside int64); such files, and ids too large for a Graph,
+    fall back. A file that is not UTF-8 is refused here. numpy releases that parse an
+    integer via a float (`1.5` as 1) only warn; that is raised as an error, to fall back.
     """
+    name = os.fsdecode(path) if isinstance(path, (str, bytes, os.PathLike)) else ""
+    plain = fmt.delimiter is None and os.path.isfile(name) and not name.endswith(_DECOMPRESSED)
+    source = os.path.abspath(name) if plain else None
     with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         for width in fmt.widths:
             handle.seek(0)
-            lines = handle if fmt.delimiter is None else map(str.strip, handle)
+            lines = source or (handle if fmt.delimiter is None else map(str.strip, handle))
             try:
-                rows = np.loadtxt(lines, _FIELDS[:width], delimiter=fmt.delimiter, ndmin=1)
+                rows = np.loadtxt(
+                    lines, _FIELDS[:width], delimiter=fmt.delimiter, ndmin=1, encoding="utf-8"
+                )
                 break
             except UnicodeDecodeError:
                 raise _not_utf8(path) from None

@@ -1,4 +1,9 @@
+import contextlib
+import gzip
+import io
+import os
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -6,6 +11,7 @@ import pytest
 
 from pairclust import (
     Graph,
+    cli,
     fileio,
     ParseError,
     graph_fingerprint,
@@ -159,6 +165,71 @@ class TestBulkParse:
         f = tmp_path / "g.edgelist.gz"
         f.write_text("0 1\n")
         assert load_edge_list(f).edge_count == 1
+
+    @pytest.mark.parametrize("suffix", [".bz2", ".xz", ".lzma"])
+    def test_other_decompressor_suffixes_are_read_as_text(self, tmp_path, suffix):
+        f = tmp_path / f"g.edgelist{suffix}"
+        f.write_text("0 1\n1 2 2.5\n")
+        assert load_edge_list(f).degree(2) == 2.5
+
+    def test_gzip_compressed_file_is_refused_as_not_utf8(self, tmp_path):
+        f = tmp_path / "g.edgelist.gz"
+        f.write_bytes(gzip.compress(b"0 1\n1 2\n"))
+        with pytest.raises(ParseError, match=re.escape(f"{f}:1: not valid UTF-8")):
+            load_edge_list(f)
+        argv = ["cluster-bipartite", "-g", str(f), "--seed-vertex", "0"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv + ["--gamma", "4", "--beta", "0.5", "--json"]) == 2
+        assert "not valid UTF-8" in err.getvalue()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a pipe as /dev/fd/N")
+    @pytest.mark.parametrize("text", [b"0 1\n1 2\n", b"0 1 1.0\n1 2 2.0\n"])
+    def test_pipe_ends_in_the_not_seekable_error(self, text):
+        # never an empty or partial graph: numpy reopening the pipe by path for the
+        # two-field attempt would find it consumed by the three-field one
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text)
+            os.close(write_end)
+            with pytest.raises(io.UnsupportedOperation, match="not seekable"):
+                load_edge_list(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_local_path_spelled_like_a_url_loads_the_file(self, tmp_path, monkeypatch):
+        (tmp_path / "a:" / "b").mkdir(parents=True)
+        (tmp_path / "a:" / "b" / "g.edgelist").write_text("0 1\n1 2 2.5\n")
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.chdir(tmp_path)
+        for spelled in ("a://b/g.edgelist", f"{tmp_path}/a://b/g.edgelist"):
+            assert load_edge_list(spelled).degree(2) == 2.5
+            # numpy gets the absolute path, which no URL parser reads as scheme://netloc
+            assert loadtxt.call_args.args[0] == str(tmp_path / "a:" / "b" / "g.edgelist")
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_path_and_handle_routes_build_the_same_graph(self, tmp_path, monkeypatch, directed):
+        rng = np.random.default_rng(5)
+        g = (random_directed if directed else random_undirected)(rng, 30, weighted=True)
+        written = tmp_path / "written.edgelist"
+        write_edge_list(g, written)
+        lines = written.read_text().splitlines(keepends=True)
+        shuffled, two_field = tmp_path / "shuffled.edgelist", tmp_path / "two.edgelist"
+        shuffled.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+        two_field.write_text("".join(" ".join(line.split()[:2]) + "\n" for line in lines))
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        for f in (written, shuffled, two_field):
+            by_path = load_edge_list(f, directed=directed)
+            assert loadtxt.call_args.args[0] == str(f)
+            with monkeypatch.context() as forced:  # every name reads as a decompressor suffix
+                forced.setattr(fileio, "_DECOMPRESSED", ("",))
+                by_handle = load_edge_list(f, directed=directed)
+            assert not isinstance(loadtxt.call_args.args[0], str)
+            for name in ("row_indptr", "row_keys", "row_weights", "row_degrees"):
+                assert getattr(by_path, name).tobytes() == getattr(by_handle, name).tobytes()
+            assert graph_fingerprint(by_path) == graph_fingerprint(by_handle)
 
 
 class TestInt64Range:
