@@ -54,5 +54,6 @@ from .pagerank import (
     theorem1_beta_hat,
 )
 from .results import RunResult, build_run_result, run_result_json
+from .results import cluster_bipartite, cluster_directed
 
 __version__ = "0.1.0"

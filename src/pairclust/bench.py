@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esp import evo_cut_directed
 from .generators import CbmPlusSpec, SbmSpec, gen_cbm_plus, gen_sbm
-from .graph import bipartiteness, flow_ratio
+from .graph import bipartiteness
 from .metrics import ari, misclassified_ratio, pair_labeling
-from .pagerank import loc_bipart_dc
+from .results import cluster_bipartite, cluster_directed
 
 __all__ = ["BenchReport", "TABLE1_GATES", "TABLE2_GATES", "run_table1", "run_table2"]
 
@@ -74,8 +73,8 @@ def _run_table(
     `seed` is [rng_seed, *instance sizes]: it roots the graph seed and each
     trial's stream [*seed, i]. `generate(graph_seed)` returns (g, labels), and
     `planted` names the pair's two labels. The params list `instance`, the
-    seeds, then `settings(g, c1, c2)`; `query(g, u, rng, params)` reads them,
-    and `check(g, pair)` enforces the query's contract outside the timed window.
+    seeds, then `settings(g, c1, c2)`; `query(g, u, rng, params)` reads them and
+    returns (pair, RunResult), and `check(pair, result)` enforces the query's contract.
     A row reports the pair's quality, `flow` on a digraph and `beta` otherwise,
     as 1.0 when the query finds nothing.
     """
@@ -95,14 +94,12 @@ def _run_table(
     def trial(i: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence([*seed, i]))
         u = int(target[rng.integers(target.size)])
-        t0 = time.perf_counter()
-        pair = query(g, u, rng, params)
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        row = {"trial": i, "seed_vertex": u, "found": pair is not None, "wall_ms": wall_ms}
+        pair, result = query(g, u, rng, params)
+        row = {"trial": i, "seed_vertex": u, "found": result.found, "wall_ms": result.wall_ms}
         if pair is None:
             row.update({quality: 1.0, "volume": 0.0, "ari": 0.0, "misclassified": 1.0})
             return row
-        check(g, pair)
+        check(pair, result)
         row.update(
             {
                 quality: getattr(pair, quality),
@@ -143,11 +140,9 @@ def run_table1(n1: int = 1000, trials: int = 10, rng_seed: int = 1) -> BenchRepo
         }
 
     def query(g, u, rng, params):
-        return loc_bipart_dc(
-            g, u, params["gamma"], params["beta_hat"], alpha=params["alpha"], best_sweep=True
-        )
+        return cluster_bipartite(g, u, params["gamma"], params["beta_hat"], params["alpha"], True)
 
-    def check(g, pair):
+    def check(pair, result):
         if pair.beta > TABLE1_BETA_HAT or set(pair.l.tolist()) & set(pair.r.tolist()):
             raise RuntimeError("returned pair violates the sweep contract")
 
@@ -174,12 +169,12 @@ def run_table2(
         return {"steps": steps, "attempts": attempts, "phi": TABLE2_PHI}
 
     def query(g, u, rng, params):
-        return evo_cut_directed(
-            g, u, "both", params["phi"], rng, steps=params["steps"], attempts=params["attempts"]
+        return cluster_directed(
+            g, u, params["phi"], rng, "both", params["steps"], params["attempts"]
         )
 
-    def check(g, best):
-        if flow_ratio(g, best.l, best.r) != best.flow:
+    def check(pair, result):
+        if result.metrics["flow_ratio"] != pair.flow:
             raise RuntimeError("reported flow ratio drifted from recomputation")
 
     return _run_table(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import MISSING, asdict, fields
 from typing import get_type_hints
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from . import bench as bench_mod
 from .cover import cover_vertex
-from .esp import evo_cut_directed
 from .fileio import (
     ParseError,
     default_labels_path,
@@ -33,8 +31,8 @@ from .generators import CbmPlusSpec, CbmSpec, SbmSpec, gen_cbm, gen_cbm_plus, ge
 from .graph import as_id
 from .metrics import ari, misclassified_ratio, pair_labeling
 from .oracle import exact_esp_kernel, exact_pagerank, ls_curve
-from .pagerank import approximate_pagerank_dc, loc_bipart_dc, simplify
-from .results import build_run_result, run_result_json
+from .pagerank import approximate_pagerank_dc, simplify
+from .results import cluster_bipartite, cluster_directed, run_result_json
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -66,24 +64,6 @@ def _load_graph(args):
     return load_edge_list(args.graph, directed=args.directed)
 
 
-def _emit_result(args, result):
-    if getattr(args, "names", None):
-        names = load_names(args.names)
-        result.metrics["l_names"] = [names.get(v, str(v)) for v in result.l]
-        result.metrics["r_names"] = [names.get(v, str(v)) for v in result.r]
-    if args.json:
-        print(run_result_json(result))
-        return
-    if not result.found:
-        print("no qualifying pair found")
-        return
-    print(f"L ({len(result.l)}): {result.l}")
-    print(f"R ({len(result.r)}): {result.r}")
-    for key, value in result.metrics.items():
-        print(f"{key}: {value}")
-    print(f"wall_ms: {result.wall_ms:.2f}")
-
-
 def _cmd_generate(args) -> int:
     spec_type, generate = _MODELS[args.model]
     spec = spec_type(**{f.name: getattr(args, f.name) for f in fields(spec_type)})
@@ -94,45 +74,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_cluster_bipartite(args) -> int:
+def _cmd_cluster(args) -> int:
     g = _load_graph(args)
-    t0 = time.perf_counter()
-    pair = loc_bipart_dc(
-        g,
-        args.seed_vertex,
-        args.gamma,
-        args.beta,
-        alpha=args.alpha,
-        best_sweep=args.best_sweep,
-    )
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    params = {
-        "gamma": args.gamma,
-        "beta_hat": args.beta,
-        "alpha": args.alpha,
-        "best_sweep": args.best_sweep,
-    }
-    result = build_run_result(g, "cluster-bipartite", args.seed_vertex, params, pair, wall_ms)
-    _emit_result(args, result)
-    return 0
-
-
-def _cmd_cluster_directed(args) -> int:
-    g = _load_graph(args)
-    side = args.side if args.side == "both" else int(args.side)
-    rng = np.random.default_rng(np.random.SeedSequence([args.rng_seed]))
-    t0 = time.perf_counter()
-    best = evo_cut_directed(g, args.seed_vertex, side, args.phi, rng, steps=args.esp_steps)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    params = {
-        "phi": args.phi,
-        "side": args.side,
-        "esp_steps": args.esp_steps,
-    }
-    result = build_run_result(
-        g, "cluster-directed", args.seed_vertex, params, best, wall_ms, rng_seed=args.rng_seed
-    )
-    _emit_result(args, result)
+    if args.directed:
+        rng = np.random.default_rng(np.random.SeedSequence([args.rng_seed]))
+        side = args.side if args.side == "both" else int(args.side)
+        _, result = cluster_directed(
+            g, args.seed_vertex, args.phi, rng, side, args.esp_steps, rng_seed=args.rng_seed
+        )
+    else:
+        _, result = cluster_bipartite(
+            g, args.seed_vertex, args.gamma, args.beta, args.alpha, args.best_sweep
+        )
+    if args.names:
+        names = load_names(args.names)
+        result.metrics["l_names"] = [names.get(v, str(v)) for v in result.l]
+        result.metrics["r_names"] = [names.get(v, str(v)) for v in result.r]
+    if args.json:
+        print(run_result_json(result))
+    elif not result.found:
+        print("no qualifying pair found")
+    else:
+        print(f"L ({len(result.l)}): {result.l}")
+        print(f"R ({len(result.r)}): {result.r}")
+        for key, value in result.metrics.items():
+            print(f"{key}: {value}")
+        print(f"wall_ms: {result.wall_ms:.2f}")
     return 0
 
 
@@ -284,7 +251,7 @@ def build_parser() -> _Parser:
     cb.add_argument("--best-sweep", action="store_true", help="return best prefix, not first")
     cb.add_argument("--names", default=None)
     cb.add_argument("--json", action="store_true")
-    cb.set_defaults(func=_cmd_cluster_bipartite, directed=False)
+    cb.set_defaults(func=_cmd_cluster, directed=False)
 
     cd = sub.add_parser("cluster-directed", help="find a directed flow pair (digraph)")
     cd.add_argument("-g", "--graph", required=True)
@@ -296,7 +263,7 @@ def build_parser() -> _Parser:
     cd.add_argument("--rng-seed", type=int, default=DEFAULT_RNG_SEED)
     cd.add_argument("--names", default=None)
     cd.add_argument("--json", action="store_true")
-    cd.set_defaults(func=_cmd_cluster_directed, directed=True)
+    cd.set_defaults(func=_cmd_cluster, directed=True)
 
     ev = sub.add_parser("eval", help="score a result JSON against ground-truth labels")
     ev.add_argument("--output", required=True, help="RunResult JSON file")

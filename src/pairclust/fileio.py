@@ -3,7 +3,7 @@
 One reader, `_read_rows`, parses edge lists and flow matrices, each given as a `_Format`:
 one `np.loadtxt` pass with bulk checks, and the line parser, which names `path:line`,
 for any file that pass refuses. Both paths give the same arrays. numpy reads a plain
-local edge list by path, in C chunks; other inputs and flow CSVs as a handle, by line."""
+local edge list by path, in C chunks, other files as a handle, and pipes line by line."""
 
 from __future__ import annotations
 
@@ -75,13 +75,15 @@ def _check_ids(path, lineno: int, *ids: int):
 
 
 def _not_utf8(path) -> ParseError:
-    """A ParseError naming the first line of `path` that is not valid UTF-8."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
+    """A ParseError naming the first line of `path` that is not valid UTF-8, or only the
+    path of a pipe or device: the failed read consumed it, and a reopen could hang."""
+    if os.path.isfile(path):
+        with open(path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})")
     return ParseError(f"{path}: not valid UTF-8")
 
 
@@ -130,19 +132,22 @@ def _bulk_rows(path, fmt: _Format):
     """(u, v, w) arrays of a file whose data lines share one field count of `fmt` and
     whose rows all keep the id range and `fmt`'s rules; else None, for the line parser.
 
-    numpy reads a path in C chunks, faster than it iterates an open handle's lines. It
-    gets the absolute path (no `a://b` spelling reads as a URL) of a whitespace format's
-    regular file without a suffix it decompresses; every other input is an open handle:
-    those suffixes, pipes (which a reopen per field count would consume), and delimited
-    lines, stripped first (numpy reads a whitespace-only line as one empty field, which
-    the line parser skips). numpy accepts fewer spellings than `int` (no `1_0`, no
-    non-ASCII digits, nothing outside int64); such files, and ids too large for a Graph,
-    fall back. A file that is not UTF-8 is refused here. numpy releases that parse an
-    integer via a float (`1.5` as 1) only warn; that is raised as an error, to fall back.
+    A pipe or other input that is not a regular file is left to the line parser, which
+    reads it once (numpy's reads would consume it); one that is not UTF-8 is refused
+    naming only its path. numpy reads a path in C chunks, faster than it iterates an open
+    handle's lines. It gets the absolute path (no `a://b` spelling reads as a URL) of a
+    whitespace format's file without a suffix it decompresses; those suffixes and
+    delimited lines, stripped first (numpy reads a whitespace-only line as one empty
+    field, which the line parser skips), go through an open handle. numpy accepts fewer
+    spellings than `int` (no `1_0`, no non-ASCII digits, nothing outside int64); such
+    files, and ids too large for a Graph, fall back. A file that is not UTF-8 is refused
+    here. numpy releases that parse an integer via a float (`1.5` as 1) only warn; that
+    is raised as an error, to fall back.
     """
     name = os.fsdecode(path) if isinstance(path, (str, bytes, os.PathLike)) else ""
-    plain = fmt.delimiter is None and os.path.isfile(name) and not name.endswith(_DECOMPRESSED)
-    source = os.path.abspath(name) if plain else None
+    if not os.path.isfile(name):
+        return None
+    source = None if fmt.delimiter or name.endswith(_DECOMPRESSED) else os.path.abspath(name)
     with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)

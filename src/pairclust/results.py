@@ -1,17 +1,23 @@
-"""Run results: metrics recomputed from the graph at serialization time."""
+"""Run and report one query: `cluster_bipartite` and `cluster_directed` time a pipeline's
+query and build its RunResult, whose metrics are recomputed from the graph. Each calls
+its algorithm through the algorithm's module, so a wrapper set there sees the call."""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import esp, pagerank
 from .cover import conductance_in_cover
 from .fileio import graph_fingerprint
 from .graph import Graph, as_vertex_array, bipartiteness, cut_imbalance, flow_ratio
 
-__all__ = ["RunResult", "build_run_result", "run_result_json"]
+__all__ = [
+    "RunResult", "build_run_result", "cluster_bipartite", "cluster_directed", "run_result_json"
+]
 
 
 @dataclass
@@ -93,3 +99,28 @@ def _or_none(measure, *args):
 
 def run_result_json(result: RunResult) -> str:
     return json.dumps(vars(result), indent=2)
+
+
+def cluster_bipartite(g: Graph, u, gamma, beta_hat, alpha=None, best_sweep=False):
+    """Run `loc_bipart_dc` from u and report it: (pair or None, RunResult).
+
+    `wall_ms` times the algorithm call alone, not the result's metrics.
+    """
+    t0 = time.perf_counter()
+    pair = pagerank.loc_bipart_dc(g, u, gamma, beta_hat, alpha=alpha, best_sweep=best_sweep)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    params = {"gamma": gamma, "beta_hat": beta_hat, "alpha": alpha, "best_sweep": best_sweep}
+    return pair, build_run_result(g, "cluster-bipartite", u, params, pair, wall_ms)
+
+
+def cluster_directed(g: Graph, u, phi, rng, side="both", steps=None, attempts=1, rng_seed=None):
+    """Run `evo_cut_directed` from u with `rng` and report it: (pair or None, RunResult).
+
+    `wall_ms` times the algorithm call alone. `params` records `side` as a string, as the
+    CLI's `--side` spells it; `rng_seed` is recorded as given, for the seed `rng` came from.
+    """
+    t0 = time.perf_counter()
+    pair = esp.evo_cut_directed(g, u, side, phi, rng, steps=steps, attempts=attempts)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    params = {"phi": phi, "side": str(side), "esp_steps": steps}
+    return pair, build_run_result(g, "cluster-directed", u, params, pair, wall_ms, rng_seed)

@@ -56,6 +56,24 @@ def test_pair_measures_are_seen_through_their_wrapped_names():
         assert spans[name] >= 1, name
 
 
+def test_query_functions_call_the_algorithms_through_their_modules():
+    # the tracer wraps module attributes: a query function that bound an algorithm by
+    # name would run it unwrapped, and that layer would read 0 without any error
+    square = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
+    flow = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 0)], directed=True)
+    tracer = Tracer(PACKAGE)
+    with tracer.installed():
+        pair, result = results.cluster_bipartite(square, 0, 20.0, 0.5, alpha=0.3)
+        assert pair is not None and result.found
+        rng = np.random.default_rng(0)
+        pair, result = results.cluster_directed(flow, 0, 0.1, rng, "both", 3, 2)
+        assert pair is not None and result.found
+    spans = Counter(span.name for span in tracer.spans)
+    assert spans["pagerank.loc_bipart_dc"] == 1
+    assert spans["esp.evo_cut_directed"] == 1
+    assert spans["results.build_run_result"] == 2
+
+
 def test_smoke_break_target_is_spelled_once():
     # the smoke test breaks the library by an exact text replace, a no-op on a respelled line
     line = 'metrics["beta"] = bipartiteness(g, l, r)'

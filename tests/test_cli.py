@@ -199,6 +199,29 @@ class TestClusterBipartite:
         golden.pop("wall_ms")
         assert got == golden
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("default_alpha", ["--gamma", "2000", "--beta", "0.3", "--best-sweep"]),
+            ("alpha", ["--gamma", "2000", "--beta", "0.35", "--alpha", "0.05"]),
+        ],
+    )
+    def test_weighted_pair_matches_golden_apart_from_timing(self, capsys, name, argv):
+        # 300 vertices: two blocks of 25 dense between each other, a background of 250,
+        # and Pareto weights. Without --alpha, push runs at Theorem 1's beta_hat**2/378.
+        path = DATA_DIR / "weighted_pair.edgelist"
+        weights = pairclust.load_edge_list(path).weights
+        assert weights.max() > 50 * np.median(weights)
+        argv = ["cluster-bipartite", "-g", str(path), "--seed-vertex", "0", *argv, "--json"]
+        assert main(argv) == 0
+        got = capsys.readouterr().out.splitlines(keepends=True)
+        golden = (DATA_DIR / f"golden_cluster_bipartite_weighted_{name}.json").read_text()
+        golden = golden.splitlines(keepends=True)
+        assert '  "found": true,\n' in got
+        assert [line for line in got if '"wall_ms"' not in line] == [
+            line for line in golden if '"wall_ms"' not in line
+        ]
+
 
 class TestClusterDirected:
     def test_weighted_flow_matches_golden_apart_from_timing(self, capsys, monkeypatch):

@@ -25,6 +25,18 @@ from pairclust import (
 from helpers import random_directed, random_undirected
 
 
+@contextlib.contextmanager
+def _piped(data: bytes):
+    """`data` (at most a pipe buffer) behind a pipe's read end, spelled /dev/fd/N."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
 class TestLoadEdgeList:
     def test_basic_path(self, tmp_path):
         f = tmp_path / "g.edgelist"
@@ -184,18 +196,45 @@ class TestBulkParse:
         assert "not valid UTF-8" in err.getvalue()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads a pipe as /dev/fd/N")
-    @pytest.mark.parametrize("text", [b"0 1\n1 2\n", b"0 1 1.0\n1 2 2.0\n"])
-    def test_pipe_ends_in_the_not_seekable_error(self, text):
-        # never an empty or partial graph: numpy reopening the pipe by path for the
-        # two-field attempt would find it consumed by the three-field one
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, text)
-            os.close(write_end)
-            with pytest.raises(io.UnsupportedOperation, match="not seekable"):
-                load_edge_list(f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
+    @pytest.mark.parametrize("kind", ["two-field", "three-field", "flow"])
+    def test_pipe_builds_the_graph_of_the_same_file(self, tmp_path, monkeypatch, kind):
+        # numpy never sees the pipe: the line parser reads it once, so no failed
+        # attempt consumes it and nothing seeks it
+        rng = np.random.default_rng(11)
+        f = tmp_path / "g.txt"
+        write_edge_list(random_undirected(rng, 30, weighted=True), f)
+        lines = f.read_text().splitlines()
+        if kind == "two-field":
+            lines = [" ".join(line.split()[:2]) for line in lines]
+        elif kind == "flow":
+            rows = rng.integers(0, [30, 30, 50], size=(200, 3))
+            lines = [",".join(map(str, row)) for row in rows.tolist()]
+        text = "# piped\n" + "\n".join(lines) + "\n"
+        f.write_text(text)
+        load = load_flow_matrix if kind == "flow" else load_edge_list
+        expected = load(f)
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with _piped(text.encode()) as piped:
+            g = load(piped)
+        loadtxt.assert_not_called()
+        assert g.n == expected.n and g.edge_count == expected.edge_count > 0
+        for name in ("row_indptr", "row_keys", "row_weights", "row_degrees"):
+            assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+        assert graph_fingerprint(g) == graph_fingerprint(expected)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a pipe as /dev/fd/N")
+    def test_pipe_errors_name_the_pipe(self):
+        with _piped(b"0 1\n1 2 2.5\n2 2\n") as piped:
+            with pytest.raises(ParseError, match=re.escape(f"{piped}:3: self-loop at vertex 2")):
+                load_edge_list(piped)
+        # the failed read consumed the pipe, or its first chunk, so no line can be
+        # named: a reread of what is left would number its lines from the middle
+        for data in (b"0 1\n\xff 2\n", b"\xff 1\n" + b"0 1\n" * 5000 + b"\xff 2\n"):
+            with _piped(data) as piped:
+                with pytest.raises(ParseError) as info:
+                    load_edge_list(piped)
+                assert str(info.value) == f"{piped}: not valid UTF-8"
 
     def test_local_path_spelled_like_a_url_loads_the_file(self, tmp_path, monkeypatch):
         (tmp_path / "a:" / "b").mkdir(parents=True)
