@@ -2,7 +2,7 @@
 
 A pair (L, R) is measured as the cover set L1 u R2: `Graph._pair_volume` is the one
 volume rule, and beta and F are both 1 - 2 e(L->R) over that volume. `sum_by_key` is the
-one sum per key: of parallel edges, of push shares (`pagerank`) and of flows (`fileio`).
+one sum per key of parallel edges and flows (`fileio`); push sums at `key_positions`.
 """
 
 from __future__ import annotations
@@ -104,11 +104,10 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray):
 
 
 def sum_by_key(keys: np.ndarray, *weights: np.ndarray):
-    """The one sum-by-key rule: the sorted distinct `keys`, then per array in `weights`
-    each key's float64 sum of its entries, added in input order (`np.bincount` on the inverse).
-    Strictly increasing keys come back as they are, each sum a new `w + 0.0` as bincount adds."""
-    head = keys[:64]  # a push round's gathered rows break order at a row's end: test a head first
-    if (head[1:] > head[:-1]).all() and (keys[1:] > keys[:-1]).all():
+    """The one sum-by-key rule of edge weights and flows: the sorted distinct `keys`, then per
+    array in `weights` each key's float64 sum of its entries, added in input order (`np.bincount`
+    on the inverse). Strictly increasing keys come back as they are, each sum a new `w + 0.0`."""
+    if (keys[1:] > keys[:-1]).all():
         return (keys, *(np.add(w, 0.0, dtype=float) for w in weights))
     uniq, inverse = np.unique(keys, return_inverse=True)
     return (uniq, *(np.bincount(inverse, w, uniq.size).astype(float, copy=False) for w in weights))

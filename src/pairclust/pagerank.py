@@ -24,7 +24,7 @@ from .cover import (
     to_cluster_pair,
     total_cover_volume,
 )
-from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_merge, sum_by_key
+from .graph import Graph, as_id, as_ids, bipartiteness, key_positions, sorted_merge, sorted_unique
 
 __all__ = [
     "AprState",
@@ -46,10 +46,11 @@ class AprState:
     """Push state over the cover vertices reached so far, pushed in rounds.
 
     `keys` is the sorted int64 array of cover vertices that have held mass (see
-    the cover module's encoding); `p_mass`, `r_mass` and `deg` are aligned with
-    it and grow with the frontier, so nothing of the graph's size is allocated.
-    `p` and `r` read the masses out as dicts that store no zeros. State is
-    confined to a single execution and must not be shared across threads.
+    the cover module's encoding); `p_mass`, `r_mass` and `deg` are aligned with it
+    and grow with the frontier. A round sums its shares at positions read from a key
+    index borrowed from the graph's pool (`key_positions`), so nothing of the graph's
+    size is allocated past the pool's first index. `p` and `r` read the masses out as
+    dicts that store no zeros. A state must not be shared across threads.
     """
 
     __slots__ = (
@@ -112,8 +113,7 @@ class AprState:
         """Bank alpha of each frontier residual into p, keep half the rest (lazy
         self-loop) and spread the other half to the neighbors' opposite-side copies."""
         g, alpha = self.graph, self.alpha
-        ru = self.r_mass[frontier]
-        du = self.deg[frontier]
+        ru, du = self.r_mass[frontier], self.deg[frontier]
         self.push_count += int(frontier.size)
         self.pushed_degree_total += float(du.sum())
         self.p_mass[frontier] += alpha * ru
@@ -121,7 +121,8 @@ class AprState:
 
         nbr_keys, shares, counts = cover_rows(g, self.keys[frontier])
         shares *= np.repeat((1.0 - alpha) * ru / (2.0 * du), counts)
-        uniq, sums = sum_by_key(nbr_keys, shares)
+        uniq = sorted_unique(nbr_keys)
+        sums = np.bincount(key_positions(g, uniq, nbr_keys), shares, uniq.size)
         (self.keys, self.p_mass, self.r_mass, self.deg), at, added = sorted_merge(
             uniq, self.keys, self.p_mass, self.r_mass, self.deg
         )

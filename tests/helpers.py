@@ -181,8 +181,8 @@ def flow_rows_reference(rows):
 def reference_push_rounds(g: Graph, seed_vertex, alpha, epsilon) -> list:
     """Each push round's (keys, p_mass, r_mass) as `AprState.run` computes them, with every
     round's neighbour shares summed by `np.unique` plus `np.bincount` in gather order and
-    merged into the sorted keys by `np.union1d`: the sum-by-key rule without its fast path
-    for increasing keys, which a round that pushes one key takes."""
+    merged into the sorted keys by `np.union1d`: one rule for every round, where push reads
+    its bins from the graph's key index and skips the sort for one increasing row."""
     keys = np.array([cover_vertex(seed_vertex, 1)], dtype=np.int64)
     p_mass, r_mass, deg = np.zeros(1), np.ones(1), np.array([g.degree(seed_vertex)])
     rounds = []

@@ -7,6 +7,7 @@ import pytest
 
 from pairclust import esp
 from pairclust import (
+    AprState,
     EspState,
     Graph,
     bipartiteness,
@@ -411,6 +412,33 @@ def _assert_pool_clean(g, most=1):
         assert index.shape == (2 * g.n,) and not index.any()
 
 
+def _push_graph():
+    """A small SBM whose push rounds gather several rows each."""
+    return gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
+
+
+def _query_in_two_threads(query, seeds) -> list:
+    """`query(seed)` for every seed, split over two threads switching every microsecond."""
+    results = {}
+
+    def worker(own):
+        for seed in own:
+            results[seed] = query(seed)
+
+    threads = [threading.Thread(target=worker, args=(seeds[k::2],)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return [results.get(seed) for seed in seeds]
+
+
 class TestKeyIndexPool:
     """Every query gives its key index back all zero, on success and on failure alike."""
 
@@ -450,7 +478,7 @@ class TestKeyIndexPool:
         _assert_pool_clean(g)
 
     def test_sweeps_leave_the_pool_zeroed(self):
-        g = gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
+        g = _push_graph()
         assert loc_bipart_dc(g, 0, 200.0, 0.3, alpha=0.3) is not None
         assert len(g._key_indexes) == 1  # the sweep and the pair measures borrowed and gave back
         _assert_pool_clean(g)
@@ -472,22 +500,38 @@ class TestKeyIndexPool:
         seeds = range(6)
         with mock.patch.object(esp, "_VECTOR_MIN_KEYS", 0):
             expected = [query(seed) for seed in seeds]
-            results = {}
+            assert _query_in_two_threads(query, seeds) == expected
+        _assert_pool_clean(g, most=2)
 
-            def worker(own):
-                for seed in own:
-                    results[seed] = query(seed)
+    def test_push_leaves_one_zeroed_index(self):
+        g = _push_graph()
+        state = AprState(g, 0, 0.1, 1e-3).run()
+        assert state.push_count > 1
+        assert len(g._key_indexes) == 1  # every round borrowed the same index and gave it back
+        _assert_pool_clean(g)
 
-            threads = [threading.Thread(target=worker, args=(seeds[k::2],)) for k in range(2)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert [results.get(seed) for seed in seeds] == expected
+    def test_failed_push_leaves_the_pool_zeroed(self):
+        g = _push_graph()
+        rounds = []
+
+        def fail_at_third(state):
+            rounds.append(1)
+            if len(rounds) == 3:
+                raise RuntimeError("injected")
+
+        with pytest.raises(RuntimeError, match="injected"):
+            AprState(g, 0, 0.1, 1e-3).run(on_push=fail_at_third)
+        assert len(g._key_indexes) == 1
+        _assert_pool_clean(g)
+
+    def test_two_threads_pushing_on_one_graph_match_sequential_runs(self):
+        g = _push_graph()
+
+        def push(seed):
+            state = AprState(g, seed, 0.1, 1e-3).run()
+            return state.p, state.r
+
+        seeds = range(0, 40, 5)  # both planted blocks
+        expected = [push(seed) for seed in seeds]
+        assert _query_in_two_threads(push, seeds) == expected
         _assert_pool_clean(g, most=2)

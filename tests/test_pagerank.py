@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pairclust import (
     theorem1_beta_hat,
 )
 from pairclust.cover import cover_cut_and_volume
+from pairclust.generators import SbmSpec, gen_sbm
 from pairclust.oracle import dcpush, dense_walk_matrix
 from helpers import dense_to_mass, mass_to_dense, random_undirected
 
@@ -137,6 +139,15 @@ class TestApproximatePagerank:
             lhs = mass_to_dense(p, 2 * n) + exact_pagerank(g, True, alpha, mass_to_dense(r, 2 * n))
             rhs = exact_pagerank(g, True, alpha, chi)
             assert np.abs(lhs - rhs).max() < 1e-8
+
+    def test_push_rounds_never_call_np_unique(self):
+        # each round sums its shares at key-index positions, with no np.unique and its inverse
+        g = gen_sbm(SbmSpec(n1=20, p1=0.05, q1=0.8), 4)[0]
+        counts = [0]
+        with mock.patch.object(np, "unique", side_effect=AssertionError("push ran np.unique")):
+            state = AprState(g, 0, 0.1, 1e-3).run(on_push=lambda s: counts.append(s.push_count))
+        assert state.push_count == counts[-1]
+        assert max(np.diff(counts)) > 1  # some rounds gathered several rows, out of key order
 
     def test_degree_zero_seed_rejected(self):
         g = Graph(3, [(0, 1)])

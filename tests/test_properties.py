@@ -128,7 +128,7 @@ def test_round_push_guarantees(g, alpha, epsilon, pick):
     pick=st.integers(0, 100),
 )
 def test_push_rounds_match_the_unique_then_bincount_reference(g, alpha, epsilon, pick):
-    # a round that pushes one key gathers one sorted row, which sum_by_key returns as is;
+    # a round that pushes one key gathers one sorted row, which sorted_unique returns as is;
     # the state is read ordered by key, so a push that keeps its keys unsorted compares too
     seeds = np.flatnonzero(g.degrees > 0)
     seed = int(seeds[pick % seeds.size])
